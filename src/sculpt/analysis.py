@@ -135,17 +135,22 @@ class SchemeReport:
         ]
 
 
-def oracle_qubit_state(g: SculptingBigraph, basis: str = "diagonal") -> QubitState:
-    """Diagonal-basis qubit reading of the sculpting oracle's final state."""
-    table = oracle_wires(g)
-    state = apply_sculpting(g, table=table)
+def _read_qubits(g: SculptingBigraph, state: fock.FockState,
+                 table: fock.WireTable, basis: str) -> QubitState:
+    """Qubit reading of an oracle state on the main circles' wires."""
     rails = [(table.id_of((str(j), 0)), table.id_of((str(j), 1)))
              for j in range(1, g.n_main + 1)]
     return to_qubit_state(state, rails, rails="computational", basis=basis)
 
 
-def verify_scheme(g: SculptingBigraph, kind: str, n: int, atol: float = 1e-9,
-                  threads: int | None = None) -> SchemeReport:
+def oracle_qubit_state(g: SculptingBigraph, basis: str = "diagonal") -> QubitState:
+    """Diagonal-basis qubit reading of the sculpting oracle's final state."""
+    table = oracle_wires(g)
+    return _read_qubits(g, apply_sculpting(g, table=table), table, basis)
+
+
+def verify_scheme(g: SculptingBigraph, kind: str, n: int,
+                  atol: float = 1e-9) -> SchemeReport:
     """Full pipeline check: oracle, compile, simulate, classify, probe."""
     t0 = time.perf_counter()
     notes: list[str] = []
@@ -153,7 +158,7 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int, atol: float = 1e-9,
     table = oracle_wires(g)
     final = apply_sculpting(g, table=table)
     nb = no_bunching_check(final, g, table=table)
-    oracle_q = oracle_qubit_state(g)
+    oracle_q = _read_qubits(g, final, table, "diagonal")
     target = target_state(kind, n)
     fid_ot = fidelity(oracle_q, target)
     if fid_ot < 1.0 - atol:
@@ -161,8 +166,7 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int, atol: float = 1e-9,
 
     circuit = compile_graph(g)
     outcomes = sim.run_heralded(circuit)
-    classified = sim.classify_feedforward(outcomes, oracle_q, circuit,
-                                          atol=atol, threads=threads)
+    classified = sim.classify_feedforward(outcomes, oracle_q, circuit, atol=atol)
     p_ff = sim.success_probability(classified, "with_ff")
     p_no = sim.success_probability(classified, "without_ff")
     corr = [oc for oc in classified if oc.correction is not None]

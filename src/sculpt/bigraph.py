@@ -166,16 +166,6 @@ class SculptingBigraph:
         return len(self.ancillas)
 
 
-@dataclass
-class UndirectedBigraph:
-    """Operator-side projection: directions and the initial state dropped."""
-
-    n_main: int
-    ancillas: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    name: str = ""
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -207,28 +197,16 @@ def classify_circle(g: SculptingBigraph, label: str) -> EpmPattern:
     return EpmPattern.B
 
 
-def is_epm(g: SculptingBigraph, strict: bool = True) -> bool:
-    """True iff every circle classifies as pattern A or B.
-
-    The empty graph is vacuously EPM.  With ``strict=False``, ancilla circles
-    whose uniform edge set uses |1> or repeats a target dot are also admitted
-    (useful for experimentation; such graphs are rejected by default).
-    """
-    for c in g.circles():
-        pat = classify_circle(g, c.label)
-        if pat is EpmPattern.NON_EPM:
-            if not strict and c.kind is CircleKind.ANCILLA:
-                edges = g.edges_of_circle(c.label)
-                states = {e.state.name for e in edges}
-                if edges and states <= {"0", "1"} and len(states) == 1:
-                    continue
-            return False
-    return True
-
-
 def non_epm_circles(g: SculptingBigraph) -> list[str]:
     return [c.label for c in g.circles()
             if classify_circle(g, c.label) is EpmPattern.NON_EPM]
+
+
+def is_epm(g: SculptingBigraph) -> bool:
+    """True iff every circle classifies as pattern A or B.
+
+    The empty graph is vacuously EPM."""
+    return not non_epm_circles(g)
 
 
 def subtraction_operators(g: SculptingBigraph) -> list[list[tuple[str, InternalState, complex]]]:
@@ -421,13 +399,8 @@ def random_epm(rng, n_main: int, n_ancilla: int, max_anc_degree: int = 3,
 
 
 # ---------------------------------------------------------------------------
-# Projections and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-def to_undirected(g: SculptingBigraph | UndirectedBigraph) -> UndirectedBigraph:
-    """Drop edge directions and the initial-state side; idempotent."""
-    return UndirectedBigraph(g.n_main, tuple(g.ancillas), tuple(g.edges), g.name)
-
 
 class GraphSchemaError(ValueError):
     """Raised on malformed graph JSON, with a field path in the message."""
@@ -518,10 +491,9 @@ _DOT_COLORS = {"0": "black", "1": "gray40", "+": "red", "-": "blue", "custom": "
 _DOT_STYLES = {"0": "solid", "1": "dotted", "+": "solid", "-": "solid", "custom": "dashed"}
 
 
-def graph_to_dot(g: SculptingBigraph | UndirectedBigraph) -> str:
+def graph_to_dot(g: SculptingBigraph) -> str:
     """Graphviz export: circles as labelled ellipses, dots as points."""
-    directed = isinstance(g, SculptingBigraph)
-    lines = ["digraph sculpting {" if directed else "graph sculpting {"]
+    lines = ["digraph sculpting {"]
     lines.append("  rankdir=LR;")
     mains = [str(j) for j in range(1, g.n_main + 1)]
     for label in mains:
@@ -530,10 +502,9 @@ def graph_to_dot(g: SculptingBigraph | UndirectedBigraph) -> str:
         lines.append(f'  "c{label}" [label="{label}", shape=ellipse, style=dashed];')
     for d in sorted({e.dot for e in g.edges}):
         lines.append(f'  "d{d}" [label="", shape=point, width=0.12];')
-    arrow = "->" if directed else "--"
     for e in g.edges:
         color = _DOT_COLORS[e.state.name]
         style = _DOT_STYLES[e.state.name]
-        lines.append(f'  "c{e.mode}" {arrow} "d{e.dot}" [color={color}, style={style}];')
+        lines.append(f'  "c{e.mode}" -> "d{e.dot}" [color={color}, style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

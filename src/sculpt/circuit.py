@@ -190,6 +190,9 @@ def validate(c: Circuit) -> list[str]:
         for w in el.wires_used():
             if w not in ids:
                 diags.append(f"element {i} ({el.kind}) consumes undeclared wire {w}")
+        if el.kind == "source" and (not isinstance(el.photons, int) or el.photons < 0):
+            diags.append(f"element {i} (source) photon count {el.photons!r} "
+                         f"is not a non-negative integer")
         if el.kind in ("swap", "merge"):
             srcs = [s for s, _ in el.mapping]
             dsts = [d for _, d in el.mapping]

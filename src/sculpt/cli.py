@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -50,7 +49,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_config(path: str | None) -> dict:
-    """key=value lines; '#' starts a comment.  Known keys: atol, threads."""
+    """key=value lines; '#' starts a comment.  The only key is atol."""
     conf: dict = {}
     if not path:
         return conf
@@ -61,33 +60,39 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{ln}: expected key=value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key == "atol":
-            conf["atol"] = float(val)
-        elif key == "threads":
-            conf["threads"] = int(val)
-        else:
+        if key != "atol":
             raise CliError(f"{path}:{ln}: unknown config key {key!r}")
-    return conf
-
-
-def _threads(args, conf: dict) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    if "threads" in conf:
-        return conf["threads"]
-    env = os.environ.get("SCULPT_THREADS")
-    if env:
         try:
-            return int(env)
+            conf["atol"] = float(val)
         except ValueError:
-            raise CliError(f"SCULPT_THREADS={env!r} is not an integer") from None
-    return os.cpu_count()
+            raise CliError(f"{path}:{ln}: atol {val!r} is not a number") from None
+    return conf
 
 
 def _atol(args, conf: dict) -> float:
     if getattr(args, "atol", None) is not None:
         return args.atol
     return conf.get("atol", 1e-9)
+
+
+def _target(kind: str, n: int) -> analysis.QubitState:
+    try:
+        return analysis.target_state(kind, n)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _only_pattern(text: str | None) -> dict[str, int] | None:
+    """The --only-pattern JSON object, with its keys as strings."""
+    if text is None:
+        return None
+    try:
+        wanted = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"--only-pattern: invalid JSON: {exc}") from None
+    if not isinstance(wanted, dict):
+        raise CliError("--only-pattern: expected a JSON object {\"wire\": count}")
+    return {str(k): v for k, v in wanted.items()}
 
 
 def _parse_graph_file(path: str) -> bigraph.SculptingBigraph:
@@ -135,18 +140,23 @@ def cmd_simulate(args) -> int:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_VALIDATION
-    outcomes = sim.run_heralded(c, check=False)
+    wanted = _only_pattern(args.only_pattern)
+    target = None
     if args.target:
-        target = analysis.target_state(args.target, args.n or len(c.output_modes))
+        n_out = len(c.output_modes)
+        if args.n is not None and args.n != n_out:
+            raise CliError(f"--n {args.n} does not match the circuit's "
+                           f"{n_out} output modes")
+        target = _target(args.target, n_out)
+    outcomes = sim.run_heralded(c, check=False)
+    if target is not None:
         outcomes = sim.classify_feedforward(outcomes, target, c,
-                                            atol=_atol(args, conf),
-                                            threads=_threads(args, conf))
-    wanted = json.loads(args.only_pattern) if args.only_pattern else None
+                                            atol=_atol(args, conf))
     rows = []
     total = 0.0
     for oc in outcomes:
         pattern = {str(w): n for w, n in oc.pattern}
-        if wanted is not None and pattern != {str(k): v for k, v in wanted.items()}:
+        if wanted is not None and pattern != wanted:
             continue
         total += oc.probability
         rows.append({
@@ -165,10 +175,13 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     conf = _load_config(args.config)
     g = _parse_graph_file(args.graph)
+    if args.n != g.n_main:
+        raise CliError(f"--n {args.n} does not match the graph's "
+                       f"{g.n_main} main circles")
+    _target(args.target, args.n)
     try:
         report = analysis.verify_scheme(g, args.target, args.n,
-                                        atol=_atol(args, conf),
-                                        threads=_threads(args, conf))
+                                        atol=_atol(args, conf))
     except compiler.CompileError as exc:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
@@ -200,7 +213,6 @@ def cmd_export_dot(args) -> int:
 
 def cmd_report(args) -> int:
     conf = _load_config(args.config)
-    threads = _threads(args, conf)
     atol = _atol(args, conf)
     jobs: list[tuple[str, int]] = []
     if args.all:
@@ -216,7 +228,7 @@ def cmd_report(args) -> int:
     mismatches = 0
     for kind, n in jobs:
         g = bigraph.preset(kind, n)
-        rep = analysis.verify_scheme(g, kind, n, atol=atol, threads=threads)
+        rep = analysis.verify_scheme(g, kind, n, atol=atol)
         exp_ff_f, exp_no_f = _EXPECTED[kind]
         exp_ff = exp_ff_f(n)
         exp_no = exp_no_f(n) if exp_no_f else None
@@ -246,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for outcome classification "
-                             "(default: SCULPT_THREADS or cpu count)")
         sp.add_argument("--config", default=None,
                         help="key=value file overriding tolerances")
         sp.add_argument("--atol", type=float, default=None,

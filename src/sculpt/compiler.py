@@ -129,10 +129,8 @@ def _plan_dot(g: SculptingBigraph, dot: int) -> tuple[str, list[Edge], list[Edge
     return kind, mains, ancs
 
 
-def compile_graph(g: SculptingBigraph, encoding: str = POLARIZATION) -> Circuit:
+def compile_graph(g: SculptingBigraph) -> Circuit:
     """Translate an EPM sculpting bigraph into a heralded optical circuit."""
-    if encoding not in (POLARIZATION, DUAL_RAIL):
-        raise CompileError([f"unknown encoding {encoding!r}"])
     bad = non_epm_circles(g)
     if bad:
         raise CompileError([f"circle {b!r} does not match an EPM pattern" for b in bad])
@@ -317,8 +315,6 @@ def compile_graph(g: SculptingBigraph, encoding: str = POLARIZATION) -> Circuit:
     diags = validate(circuit)
     if diags:  # pragma: no cover - compiler bug guard
         raise CompileError(diags)
-    if encoding == DUAL_RAIL:
-        return to_dual_rail(circuit)
     return circuit
 
 

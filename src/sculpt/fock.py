@@ -191,11 +191,6 @@ def annihilate(state: FockState, w: WireId) -> FockState:
     return FockState(out)
 
 
-def number_expectation(state: FockState, w: WireId) -> float:
-    """<n_w> for a normalized state (unnormalized: weighted by norm^2)."""
-    return sum(abs(amp) ** 2 * _occ_get(occ, w) for occ, amp in state.terms())
-
-
 def relabel(state: FockState, mapping: Mapping[WireId, WireId]) -> FockState:
     """Re-key every occupation vector through a wire bijection.
 

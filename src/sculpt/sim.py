@@ -16,8 +16,8 @@ outcome is identity-correct when no correction is needed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,12 +37,13 @@ class SimulationError(RuntimeError):
     pass
 
 
-def _fourier(n: int) -> list[list[complex]]:
-    return [[cmath.exp(2j * math.pi * j * k / n) / math.sqrt(n)
-             for j in range(n)] for k in range(n)]
+@functools.lru_cache(maxsize=None)
+def _fourier(n: int) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(cmath.exp(2j * math.pi * j * k / n) / math.sqrt(n)
+                       for j in range(n)) for k in range(n))
 
 
-def apply_element(state: FockState, el, *, _dft_cache: dict = {}) -> FockState:
+def apply_element(state: FockState, el) -> FockState:
     """Apply one element's action; unknown elements raise."""
     if isinstance(el, Source):
         out = state
@@ -61,9 +62,7 @@ def apply_element(state: FockState, el, *, _dft_cache: dict = {}) -> FockState:
         return fock.relabel(state, {el.a_v: el.b_v, el.b_v: el.a_v})
     if isinstance(el, Multiport):
         n = el.n
-        if n not in _dft_cache:
-            _dft_cache[n] = _fourier(n)
-        u = _dft_cache[n]
+        u = _fourier(n)
         rules: dict[int, tuple] = {}
         arity = len(el.ports[0])
         for slot in range(arity):
@@ -347,8 +346,7 @@ def _labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
 
 
 def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
-                         circuit: Circuit, atol: float = 1e-9,
-                         threads: int | None = None) -> list[HeraldOutcome]:
+                         circuit: Circuit, atol: float = 1e-9) -> list[HeraldOutcome]:
     """Populate correction labels on a copy of each outcome.
 
     Outcomes split into identity-correct (no correction needed, up to global
@@ -367,9 +365,6 @@ def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
         return replace(oc, correction=labels, corrected_fidelity=fid,
                        identity=identity)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, outcomes))
     return [one(oc) for oc in outcomes]
 
 

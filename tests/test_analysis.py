@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sculpt import analysis
 from sculpt.analysis import (fidelity, genuine_entanglement,
                              oracle_qubit_state, schmidt_rank, target_state,
                              verify_scheme)
@@ -131,3 +132,17 @@ def test_verify_scheme_ghz3():
     assert any("P_ff = 1/32" in line for line in rep.lines())
     doc = rep.to_json()
     assert doc["p_with_ff_rational"] == "1/32"
+
+
+def test_verify_scheme_runs_the_oracle_once(monkeypatch):
+    calls = []
+    real = analysis.apply_sculpting
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "apply_sculpting", counting)
+    rep = verify_scheme(ghz(3), "ghz", 3)
+    assert abs(rep.p_with_ff - 1 / 32) < 1e-9
+    assert len(calls) == 1

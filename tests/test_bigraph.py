@@ -11,7 +11,7 @@ from sculpt.bigraph import (Edge, EpmPattern, GraphSchemaError, InternalState,
                             SculptingBigraph, classify_circle, ghz,
                             graph_to_dot, is_epm, parse_graph,
                             perfect_matchings, preset, serialize_graph,
-                            subtraction_operators, to_undirected, type5, w)
+                            subtraction_operators, type5, w)
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -114,7 +114,6 @@ def test_parallel_ancilla_edges_rejected_unless_lenient():
     g = SculptingBigraph(1, ("A",), edges)
     assert classify_circle(g, "A") is EpmPattern.NON_EPM
     assert not is_epm(g)
-    assert is_epm(g, strict=False)
 
 
 def test_classify_invariant_under_dot_relabeling():
@@ -195,16 +194,6 @@ def test_matchings_random_graphs_brute_force():
         assert {frozenset(pm) for pm in perfect_matchings(g)} == brute_force_matchings(g)
 
 
-def test_undirected_projection():
-    g = ghz(3)
-    u = to_undirected(g)
-    assert len(u.edges) == len(g.edges)
-    labels = sorted((e.state.name, round(abs(e.amplitude), 9)) for e in g.edges)
-    assert labels == sorted((e.state.name, round(abs(e.amplitude), 9)) for e in u.edges)
-    again = to_undirected(u)
-    assert again == u
-
-
 def test_serialization_roundtrip():
     for g in (ghz(3), w(3), type5()):
         text = serialize_graph(g)
@@ -271,5 +260,3 @@ def test_dot_export_mentions_all_vertices():
     for label in ("1", "2", "3", "X", "Y", "Z"):
         assert f'"c{label}"' in dot
     assert dot.count("->") == len(g.edges)
-    undirected = graph_to_dot(to_undirected(g))
-    assert "--" in undirected and "->" not in undirected.replace("rankdir", "")

@@ -72,7 +72,7 @@ def test_verify_ghz3(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli(capsys, "preset", "--kind", "ghz", "--n", "3", "--out", str(g))
     code, out, _ = run_cli(capsys, "verify", "--graph", str(g),
-                           "--target", "ghz", "--n", "3", "--threads", "1")
+                           "--target", "ghz", "--n", "3")
     assert code == 0
     assert "P_ff = 1/32" in out
 
@@ -81,7 +81,7 @@ def test_verify_type5(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli(capsys, "preset", "--kind", "type5", "--out", str(g))
     code, out, _ = run_cli(capsys, "verify", "--graph", str(g),
-                           "--target", "type5", "--n", "3", "--threads", "1")
+                           "--target", "type5", "--n", "3")
     assert code == 0
     assert "P_ff = 5/1152" in out
 
@@ -90,7 +90,7 @@ def test_verify_mismatched_target_exits_3(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli(capsys, "preset", "--kind", "ghz", "--n", "3", "--out", str(g))
     code, out, _ = run_cli(capsys, "verify", "--graph", str(g),
-                           "--target", "w", "--n", "3", "--threads", "1")
+                           "--target", "w", "--n", "3")
     assert code == 3
 
 
@@ -120,12 +120,11 @@ def test_dual_rail_flag(tmp_path, capsys):
     assert all(el["kind"] != "pbs" for el in doc["elements"])
 
 
-def test_config_file_and_env_threads(tmp_path, capsys, monkeypatch):
+def test_config_file(tmp_path, capsys):
     g = tmp_path / "g.json"
     conf = tmp_path / "sculpt.conf"
-    conf.write_text("# tolerances\natol = 1e-9\nthreads = 1\n")
+    conf.write_text("# tolerances\natol = 1e-9\n")
     run_cli(capsys, "preset", "--kind", "ghz", "--n", "2", "--out", str(g))
-    monkeypatch.setenv("SCULPT_THREADS", "2")
     code, out, _ = run_cli(capsys, "verify", "--graph", str(g),
                            "--target", "ghz", "--n", "2", "--config", str(conf))
     assert code == 0
@@ -146,8 +145,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_report_table(capsys):
-    code, out, _ = run_cli(capsys, "report", "--all", "--max-n", "2",
-                           "--threads", "1")
+    code, out, _ = run_cli(capsys, "report", "--all", "--max-n", "2")
     lines = out.strip().splitlines()
     assert any(l.startswith("ghz") for l in lines)
     assert any(l.startswith("type5") for l in lines)
@@ -156,3 +154,72 @@ def test_report_table(capsys):
     assert code == 3
     assert any("FAIL" in l and l.startswith("w") for l in lines)
     assert all("PASS" in l for l in lines if l.startswith("ghz"))
+
+
+def _ghz2_circuit(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    c = tmp_path / "c.json"
+    run_cli(capsys, "preset", "--kind", "ghz", "--n", "2", "--out", str(g))
+    run_cli(capsys, "compile", "--graph", str(g), "--out", str(c))
+    return g, c
+
+
+def assert_one_error(code, out, err, *fragments):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(f in lines[0] for f in fragments)
+
+
+def test_only_pattern_bad_json_exits_2(tmp_path, capsys):
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(c),
+                             "--only-pattern", "{bad")
+    assert_one_error(code, out, err, "--only-pattern", "JSON")
+
+
+def test_only_pattern_not_an_object_exits_2(tmp_path, capsys):
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(c),
+                             "--only-pattern", "[1]")
+    assert_one_error(code, out, err, "--only-pattern", "object")
+
+
+def test_config_bad_atol_exits_2(tmp_path, capsys):
+    g, _ = _ghz2_circuit(tmp_path, capsys)
+    conf = tmp_path / "c.conf"
+    conf.write_text("# tolerances\natol = abc\n")
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
+                             "ghz", "--n", "2", "--config", str(conf))
+    assert_one_error(code, out, err, f"{conf}:2:", "atol")
+
+
+def test_verify_qubit_count_mismatch_exits_2(tmp_path, capsys):
+    g, _ = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g),
+                             "--target", "ghz", "--n", "3")
+    assert_one_error(code, out, err, "--n 3", "2 main circles")
+
+
+def test_verify_target_undefined_at_n_exits_2(tmp_path, capsys):
+    g, _ = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g),
+                             "--target", "type5", "--n", "2")
+    assert_one_error(code, out, err, "type5")
+
+
+def test_simulate_qubit_count_mismatch_exits_2(tmp_path, capsys):
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(c),
+                             "--target", "ghz", "--n", "3")
+    assert_one_error(code, out, err, "--n 3", "2 output modes")
+
+
+def test_simulate_negative_photons_exits_2(tmp_path, capsys):
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    doc = json.loads(c.read_text())
+    src = next(el for el in doc["elements"] if el["kind"] == "source")
+    src["photons"] = -1
+    c.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(c))
+    assert_one_error(code, out, err, "photon count -1")

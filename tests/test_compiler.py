@@ -1,12 +1,13 @@
 """Lowering: structural counts, determinism, dual-rail, block semantics."""
 
+import dataclasses
 import math
 
 import pytest
 
 from sculpt import fock
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
-from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, Multiport,
+from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, Multiport, Source,
                             parse_circuit, serialize_circuit, circuit_to_dot,
                             validate)
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
@@ -135,6 +136,14 @@ def test_validate_flags_undeclared_wire():
     assert any("undeclared" in d for d in validate(c))
 
 
+@pytest.mark.parametrize("photons", [-1, 1.5])
+def test_validate_flags_bad_photon_count(photons):
+    c = compile_graph(ghz(2))
+    i = next(k for k, el in enumerate(c.elements) if isinstance(el, Source))
+    c.elements[i] = dataclasses.replace(c.elements[i], photons=photons)
+    assert any("photon count" in d and f"element {i} " in d for d in validate(c))
+
+
 def test_dual_rail_w3():
     c = compile_graph(w(3))
     d = to_dual_rail(c)
@@ -152,11 +161,6 @@ def test_dual_rail_w3():
 def test_dual_rail_channels_renamed():
     d = to_dual_rail(compile_graph(ghz(2)))
     assert {w.channel for w in d.wires} == {"0", "1"}
-
-
-def test_compile_dual_rail_flag():
-    d = compile_graph(w(2), encoding=DUAL_RAIL)
-    assert d.encoding == DUAL_RAIL and d.count_elements("pbs") == 0
 
 
 def test_circuit_dot_export():

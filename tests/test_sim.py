@@ -170,16 +170,6 @@ def test_success_probability_modes():
         sim.success_probability(classified, "sideways")
 
 
-def test_classification_threads_match_serial():
-    g = ghz(2)
-    c = compile_graph(g)
-    outcomes = sim.run_heralded(c)
-    target = oracle_qubit_state(g)
-    serial = sim.classify_feedforward(outcomes, target, c, threads=1)
-    parallel = sim.classify_feedforward(outcomes, target, c, threads=4)
-    assert [oc.correction for oc in serial] == [oc.correction for oc in parallel]
-
-
 def test_dual_rail_outcomes_match_polarization():
     g = w(3)
     c = compile_graph(g)
