@@ -209,6 +209,9 @@ def validate(c: Circuit) -> list[str]:
                 diags.append(f"element {i} multiport repeats a wire")
     seen: set[int] = set()
     for grp in c.detector_groups:
+        for w in grp.wires:
+            if w not in ids:
+                diags.append(f"detector group {grp.gid} reads undeclared wire {w}")
         overlap = seen & set(grp.wires)
         if overlap:
             diags.append(f"detector group {grp.gid} overlaps wires {sorted(overlap)}")
@@ -267,6 +270,8 @@ def serialize_circuit(c: Circuit) -> str:
 
 
 def _element_from_json(doc: dict, where: str) -> Element:
+    if not isinstance(doc, dict):
+        raise CircuitSchemaError(f"{where}: expected an object")
     kind = doc.get("kind")
     stage = doc.get("stage", "")
     try:
@@ -287,9 +292,15 @@ def _element_from_json(doc: dict, where: str) -> Element:
         if kind == "merge":
             return ReturnMerge(doc["mode"],
                                tuple((int(a), int(b)) for a, b in doc["mapping"]), stage)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(f"{where}: malformed {kind} element ({exc})") from None
     raise CircuitSchemaError(f"{where}: unknown element kind {kind!r}")
+
+
+def _int(value, where: str) -> int:
+    if not isinstance(value, int):
+        raise CircuitSchemaError(f"{where}: {value!r} is not an integer")
+    return value
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -300,12 +311,17 @@ def parse_circuit(text: str) -> Circuit:
     if not isinstance(doc, dict):
         raise CircuitSchemaError("top level: expected an object")
     try:
-        wires = [Wire(w["id"], w["mode"], w["channel"]) for w in doc["wires"]]
+        wires = [Wire(_int(w["id"], f"wires[{i}].id"), w["mode"], w["channel"])
+                 for i, w in enumerate(doc["wires"])]
         elements = [_element_from_json(e, f"elements[{i}]")
                     for i, e in enumerate(doc["elements"])]
-        groups = [DetectorGroup(g["id"], tuple(g["wires"]), g["count"])
-                  for g in doc["detector_groups"]]
-        c = Circuit(wires, elements, groups, list(doc["outputs"]),
+        groups = [DetectorGroup(_int(g["id"], f"detector_groups[{i}].id"),
+                                tuple(_int(w, f"detector_groups[{i}].wires")
+                                      for w in g["wires"]),
+                                _int(g["count"], f"detector_groups[{i}].count"))
+                  for i, g in enumerate(doc["detector_groups"])]
+        c = Circuit(wires, elements, groups,
+                    [_int(w, "outputs") for w in doc["outputs"]],
                     list(doc["output_modes"]), doc.get("encoding", POLARIZATION),
                     doc.get("name", ""))
     except (KeyError, TypeError) as exc:

@@ -335,31 +335,36 @@ def apply_operator(state: FockState, legs: Sequence[tuple[WireId, complex]],
     return out
 
 
-def rationalize(p: float, max_two: int = 16, max_three: int = 4, tol: float = 1e-9) -> str | None:
-    """Render a probability as an exact small fraction n / (2^k 3^m) if one fits.
+def rationalize(p: float, max_num: int = 2 ** 16, max_three: int = 4,
+                rtol: float = 1e-9) -> str | None:
+    """Render a probability as an exact fraction n / (2^k 3^m) if one fits.
 
-    Returns e.g. "1/32" or "5/1152", or None when no small denominator matches
-    within tolerance.  Raw floats remain the source of truth; this is for
-    human-readable reports only.
+    Returns e.g. "1/32", "5/1152" or "1/393216", or None when no such
+    fraction lies within ``rtol`` of p, relative to p.  The denominator
+    bound follows p: the power of two grows until the numerator would pass
+    ``max_num``, so the tiny probabilities of large schemes render as
+    exactly as the small ones, and a tiny p is never rounded to "0".  Raw
+    floats remain the source of truth; this is for human-readable reports
+    only.
     """
-    if p < 0 or p > 1 + tol:
+    if p == 0:
+        return "0"
+    if p < 0 or p > 1 + rtol:
         return None
-    best: tuple[int, int, int] | None = None
+    best: tuple[int, int] | None = None
     for m in range(max_three + 1):
-        for k in range(max_two + 1):
-            den = (2 ** k) * (3 ** m)
+        den = 3 ** m
+        while p * den <= max_num:
             num = round(p * den)
-            if num == 0 and p > tol:
-                continue
-            if abs(p - num / den) <= tol:
-                g = math.gcd(num, den) if num else 1
-                cand = (num // g, den // g, k + m)
-                if best is None or cand[1] < best[1]:
-                    best = cand
+            if abs(p - num / den) <= rtol * p:
+                g = math.gcd(num, den)
+                if best is None or den // g < best[1]:
+                    best = (num // g, den // g)
                 break
+            den *= 2
     if best is None:
         return None
-    num, den, _ = best
+    num, den = best
     if den == 1:
         return str(num)
     return f"{num}/{den}"

@@ -5,7 +5,9 @@ permutation or a linear substitution on creation operators, so propagation
 is exact up to floating point.  Heralding buckets the final state by its
 detector-wire occupation signature: each signature that meets every
 detector group's required count becomes one outcome with an exact
-conditional residual state and probability.
+conditional residual state and probability.  Each group's count filter is
+projected as soon as its subtractor's herald is fixed, so rejected branches
+are not carried through the rest of the circuit.
 
 Feed-forward classification searches, per outcome, for local corrections of
 the form X^a * diag(1, e^{i phi}) per output mode (bit flip optional,
@@ -25,8 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fock
-from .circuit import (Circuit, HWP, Multiport, PBS, ReturnMerge, Source,
-                      STAGES, Swap, UHWP, validate)
+from .circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
+                      ReturnMerge, Source, Swap, UHWP, validate)
 from .fock import FockState
 from .sculpting import QubitState, to_qubit_state
 
@@ -77,30 +79,11 @@ def apply_element(state: FockState, el) -> FockState:
     raise SimulationError(f"unknown element {el!r}")
 
 
-def run(circuit: Circuit, through_stage: str | None = None) -> FockState:
-    """Propagate the sources through the elements, optionally stopping after
-    the named pipeline stage (inclusive)."""
+def run(circuit: Circuit) -> FockState:
+    """Propagate the sources through every element, with no heralding."""
     state = FockState.vacuum()
-    limit = STAGES.index(through_stage) if through_stage is not None else len(STAGES)
     for el in circuit.elements:
-        stage_idx = STAGES.index(el.stage) if el.stage in STAGES else 0
-        if stage_idx > limit:
-            continue
         state = apply_element(state, el)
-    return state
-
-
-def filtered_state(circuit: Circuit) -> FockState:
-    """Heralding filter applied before the which-path mixers: the component
-    of the post-merge state whose pre-mix tap wires hold exactly the required
-    photon count per subtractor.  Unnormalized."""
-    layout = circuit.layout
-    if layout is None:
-        raise SimulationError("circuit carries no layout metadata")
-    state = run(circuit, "merge")
-    for grp in circuit.detector_groups:
-        blk = layout.blocks[grp.gid]
-        state, _ = fock.project_count(state, blk.pre_mix_wires, grp.required)
     return state
 
 
@@ -123,27 +106,45 @@ class HeraldOutcome:
         return dict(self.pattern)
 
 
-def _mix_closures(circuit: Circuit, tail: list) -> dict[int, set[int]] | None:
-    """Backward data-flow closure of each detector group over the trailing
-    mixer elements.  Valid (returned) only when every trailing element acts
-    within a single group's cone and the cones are pairwise disjoint; then
-    the heralding count filter commutes with the trailing elements."""
-    cones = {grp.gid: set(grp.wires) for grp in circuit.detector_groups}
-    for el in reversed(tail):
-        used = set(el.wires_used())
-        touched = [gid for gid, cone in cones.items() if cone & used]
-        if len(touched) > 1:
-            return None
-        if touched:
-            cones[touched[0]] |= used
-    everything: set[int] = set()
-    for cone in cones.values():
-        if everything & cone:
-            return None
-        everything |= cone
-    if everything & set(circuit.outputs):
-        return None
-    return cones
+def _herald_schedule(circuit: Circuit) -> dict[int, list[tuple[DetectorGroup, set[int]]]]:
+    """Element index -> the (detector group, wire set) count filters to
+    project right after that element.
+
+    Walking the elements backward, a group's filter set is the union of the
+    wire components, linked by the elements after the current one, that hold
+    its detector wires.  Each later element acts wholly inside or wholly
+    outside that set, so its photon count is conserved to the end unless a
+    later source adds to it.  The set is usable while it meets no output
+    wire, no later source's wire and no other group's detector wire; it
+    only grows, so once unusable it stays so.  Each group is filtered at its
+    earliest usable index.
+    """
+    barrier = set(circuit.outputs)
+    detectors = circuit.detector_wires()
+    linked: dict[int, set[int]] = {}
+    pending = list(circuit.detector_groups)
+    earliest: dict[DetectorGroup, tuple[int, set[int]]] = {}
+    for i in range(len(circuit.elements) - 1, -1, -1):
+        usable = []
+        for grp in pending:
+            span = set(grp.wires).union(*(linked.get(w, ()) for w in grp.wires))
+            if not span & barrier and span & detectors <= set(grp.wires):
+                earliest[grp] = (i, span)
+                usable.append(grp)
+        pending = usable
+        if not pending:
+            break
+        el = circuit.elements[i]
+        if isinstance(el, Source):
+            barrier.add(el.wire)
+        wires = el.wires_used()
+        joined = set(wires).union(*(linked.get(w, ()) for w in wires))
+        for w in joined:
+            linked[w] = joined
+    schedule: dict[int, list[tuple[DetectorGroup, set[int]]]] = {}
+    for grp, (i, span) in earliest.items():
+        schedule.setdefault(i, []).append((grp, span))
+    return schedule
 
 
 def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
@@ -153,32 +154,24 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
     Signatures violating any group's required count are dropped; a detector
     budget exceeding the photon supply therefore yields an empty list.
 
-    The required-count filter is applied before the trailing which-path
-    mixers whenever that provably commutes (it always does for compiled
-    circuits); this only prunes terms that every group would reject.
+    Each group's required-count filter is projected during propagation, at
+    the point :func:`_herald_schedule` proves it commutes with the rest of
+    the circuit; this only prunes terms that the final filter would reject.
     """
     if check:
         diags = validate(circuit)
         if diags:
             raise SimulationError("invalid circuit: " + "; ".join(diags))
-    split = next((i for i, el in enumerate(circuit.elements) if el.stage == "mix"),
-                 len(circuit.elements))
-    tail = circuit.elements[split:]
-    cones = _mix_closures(circuit, tail) if tail else None
-    if cones is not None:
-        final = FockState.vacuum()
-        for el in circuit.elements[:split]:
-            final = apply_element(final, el)
-        for grp in circuit.detector_groups:
-            final, _ = fock.project_count(final, cones[grp.gid], grp.required)
-        for el in tail:
-            final = apply_element(final, el)
-    else:
-        final = run(circuit)
+    schedule = _herald_schedule(circuit)
+    state = FockState.vacuum()
+    for i, el in enumerate(circuit.elements):
+        state = apply_element(state, el)
+        for grp, span in schedule.get(i, ()):
+            state, _ = fock.project_count(state, span, grp.required)
     det_wires = sorted(circuit.detector_wires())
     out_wires = set(circuit.outputs)
     outcomes: list[HeraldOutcome] = []
-    for sig, comp in fock.group_by_counts(final, det_wires):
+    for sig, comp in fock.group_by_counts(state, det_wires):
         counts = dict(sig)
         if any(sum(counts.get(w, 0) for w in grp.wires) != grp.required
                for grp in circuit.detector_groups):

@@ -14,7 +14,9 @@ import math
 from helpers import Poly, mono, poly_add, poly_mul, poly_prod, poly_scale, poly_state, sq
 from sculpt import fock, sim
 from sculpt.bigraph import SculptingBigraph, ghz, type5, w
+from sculpt.circuit import STAGES
 from sculpt.compiler import compile_graph
+from sculpt.fock import FockState
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -217,9 +219,31 @@ def type5_expectation(g, c, L, stage: str) -> Poly:
 EXPECTATIONS = {"ghz": ghz_expectation, "w": w_expectation, "type5": type5_expectation}
 
 
+def run_through(c, stage: str) -> FockState:
+    """Propagate the sources through every element up to and including the
+    named pipeline stage."""
+    limit = STAGES.index(stage)
+    state = FockState.vacuum()
+    for el in c.elements:
+        if (STAGES.index(el.stage) if el.stage in STAGES else 0) <= limit:
+            state = sim.apply_element(state, el)
+    return state
+
+
+def filtered_state(c, L) -> FockState:
+    """Heralding filter applied before the which-path mixers: the component
+    of the post-merge state whose pre-mix tap wires hold exactly the required
+    photon count per subtractor.  Unnormalized."""
+    state = run_through(c, "merge")
+    for grp in c.detector_groups:
+        state, _ = fock.project_count(state, L.blocks[grp.gid].pre_mix_wires,
+                                      grp.required)
+    return state
+
+
 def assert_stage(kind: str, g, c, L, stage: str) -> None:
     expected = poly_state(EXPECTATIONS[kind](g, c, L, stage))
-    got = sim.filtered_state(c) if stage == "filtered" else sim.run(c, stage)
+    got = filtered_state(c, L) if stage == "filtered" else run_through(c, stage)
     assert fock.allclose(got, expected), f"{kind}: stage {stage!r} differs"
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: creation-polynomial builders over circuit wires.
+"""Shared test utilities: creation-polynomial builders over circuit wires,
+and the full-propagation reference for heralded outcomes.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from sculpt import fock
+from sculpt import fock, sim
 from sculpt.fock import FockState
 
 Poly = dict[tuple[int, ...], complex]
@@ -71,3 +72,29 @@ def counts_state(counts: dict[int, int], amp: complex = 1.0) -> FockState:
 
 
 R2 = 1.0 / math.sqrt(2.0)
+
+
+def reference_outcomes(circuit) -> list[tuple]:
+    """Heralded outcomes with no filter moved into the circuit: full
+    propagation, then each detector group's count filter on the final
+    state.  (pattern, probability, normalized residual) per outcome."""
+    final = sim.run(circuit)
+    det_wires = sorted(circuit.detector_wires())
+    out = []
+    for sig, comp in fock.group_by_counts(final, det_wires):
+        counts = dict(sig)
+        if all(sum(counts.get(w, 0) for w in grp.wires) == grp.required
+               for grp in circuit.detector_groups):
+            prob = fock.norm2(comp)
+            residual = fock.strip_wires(comp, det_wires)
+            out.append((sig, prob, fock.scale(residual, 1.0 / math.sqrt(prob))))
+    return out
+
+
+def assert_same_outcomes(outcomes, reference) -> None:
+    """Same patterns in the same order, probabilities within fock.ATOL and
+    residuals termwise close."""
+    assert [oc.pattern for oc in outcomes] == [sig for sig, _, _ in reference]
+    for oc, (sig, prob, residual) in zip(outcomes, reference):
+        assert abs(oc.probability - prob) <= fock.ATOL, sig
+        assert fock.allclose(oc.residual, residual), sig

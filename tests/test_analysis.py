@@ -146,3 +146,22 @@ def test_verify_scheme_runs_the_oracle_once(monkeypatch):
     rep = verify_scheme(ghz(3), "ghz", 3)
     assert abs(rep.p_with_ff - 1 / 32) < 1e-9
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind,n,p_ff,p_no_ff", [
+    ("ghz", 6, 1 / 2 ** 11, 1 / 2 ** 12),
+    ("ghz", 7, 1 / 2 ** 13, 1 / 2 ** 14),
+    ("ghz", 8, 1 / 2 ** 15, 1 / 2 ** 16),
+    ("w", 5, 1 / 2 ** 10, None),
+    ("w", 6, 1 / 2 ** 12, None),
+])
+def test_verify_scheme_closed_forms_at_larger_n(kind, n, p_ff, p_no_ff):
+    # the paper's N-partite closed forms past the acceptance table:
+    # GHZ 1/2^(2n-1) with and 1/2^(2n) without feed-forward, W 1/2^(2n)
+    rep = verify_scheme({"ghz": ghz, "w": w}[kind](n), kind, n)
+    assert math.isclose(rep.p_with_ff, p_ff, rel_tol=1e-9)
+    if p_no_ff is not None:
+        assert math.isclose(rep.p_without_ff, p_no_ff, rel_tol=1e-9)
+    assert rep.n_correctable == rep.n_outcomes > 0
+    assert rep.min_corrected_fidelity > 1 - 1e-9
+    assert rep.genuine

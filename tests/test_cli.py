@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sculpt.bigraph import ghz, serialize_graph
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph
 from sculpt.cli import main
@@ -223,3 +225,60 @@ def test_simulate_negative_photons_exits_2(tmp_path, capsys):
     c.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "simulate", "--circuit", str(c))
     assert_one_error(code, out, err, "photon count -1")
+
+
+def _simulate_mutated_dual_rail(tmp_path, capsys, mutate):
+    g, _ = _ghz2_circuit(tmp_path, capsys)
+    c = tmp_path / "dr.json"
+    run_cli(capsys, "compile", "--graph", str(g), "--dual-rail", "--out", str(c))
+    doc = json.loads(c.read_text())
+    mutate(doc)
+    c.write_text(json.dumps(doc))
+    return run_cli(capsys, "simulate", "--circuit", str(c))
+
+
+def _first(doc, kind):
+    return next(el for el in doc["elements"] if el["kind"] == kind)
+
+
+def test_simulate_non_integer_port_wire_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        _first(doc, "bs")["ports"][0][0] = "x"
+    code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "malformed bs element")
+
+
+def test_simulate_short_swap_pair_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        mapping = _first(doc, "swap")["mapping"]
+        mapping[0] = mapping[0][:1]
+    code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "malformed swap element")
+
+
+def test_simulate_string_detector_count_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        doc["detector_groups"][0]["count"] = "1"
+    code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "detector_groups[0]", "not an integer")
+
+
+def test_simulate_element_not_an_object_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        doc["elements"][0] = 3
+    code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "elements[0]", "expected an object")
+
+
+@pytest.mark.parametrize("mutate,fragment", [
+    (lambda doc: doc["wires"][0].update(id="x"), "wires[0].id"),
+    (lambda doc: doc["detector_groups"][0].update(id=[1]), "detector_groups[0].id"),
+    (lambda doc: doc["detector_groups"][0]["wires"].__setitem__(0, "x"),
+     "detector_groups[0].wires"),
+    (lambda doc: doc["outputs"].__setitem__(0, "1"), "outputs"),
+    (lambda doc: doc["detector_groups"][0]["wires"].__setitem__(0, 999),
+     "undeclared wire 999"),
+], ids=["wire-id", "group-id", "group-wire", "output-wire", "undeclared-group-wire"])
+def test_simulate_malformed_wire_ids_exit_2(tmp_path, capsys, mutate, fragment):
+    code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, fragment)

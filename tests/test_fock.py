@@ -198,3 +198,10 @@ def test_rationalize():
     assert fock.rationalize(1.0) == "1"
     assert fock.rationalize(1 / 768) == "1/768"
     assert fock.rationalize(0.1234567) is None
+    # the denominator bound follows p, so large schemes render exactly too
+    assert fock.rationalize(1 / 131072) == "1/131072"    # GHZ 9 P_ff
+    assert fock.rationalize(1 / 393216) == "1/393216"    # W 6 P_no_ff
+    assert fock.rationalize(2.0 ** -20) == "1/1048576"
+    # the tolerance is relative to p: a tiny p is not rounded to zero
+    assert fock.rationalize(1e-12) is None
+    assert fock.rationalize(0.0) == "0"

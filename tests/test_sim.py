@@ -1,15 +1,18 @@
 """Element unitaries, herald enumeration, feed-forward classification."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sculpt import fock, sim
+from helpers import assert_same_outcomes, reference_outcomes
+from sculpt import bigraph, fock, sim
 from sculpt.bigraph import ghz, w
 from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
                             Source, Swap, UHWP, Wire)
-from sculpt.compiler import compile_graph, to_dual_rail
+from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 from sculpt.fock import FockState
 from sculpt.analysis import oracle_qubit_state, target_state
 from sculpt.sculpting import QubitState
@@ -118,6 +121,87 @@ def test_run_heralded_total_mass():
     assert abs(sum(oc.probability for oc in outcomes) - 1.0 / 32.0) < 1e-9
     for oc in outcomes:
         assert abs(fock.norm2(oc.residual) - 1.0) < 1e-9
+
+
+PRESETS = ([("ghz", n) for n in (2, 3, 4, 5)]
+           + [("w", n) for n in (2, 3, 4)] + [("type5", 3)])
+ENCODINGS = pytest.mark.parametrize("dual_rail", [False, True],
+                                    ids=["polarization", "dual-rail"])
+
+
+def _preset_circuit(kind, n, dual_rail):
+    c = compile_graph(bigraph.preset(kind, n))
+    return to_dual_rail(c) if dual_rail else c
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_reference(kind, n):
+    # both encodings share wire ids and element unitaries, so the full
+    # propagation of the polarization circuit is the reference for both
+    return reference_outcomes(_preset_circuit(kind, n, False))
+
+
+@pytest.mark.parametrize("kind,n", PRESETS)
+@ENCODINGS
+def test_eager_heralding_matches_full_propagation(kind, n, dual_rail):
+    c = _preset_circuit(kind, n, dual_rail)
+    assert_same_outcomes(sim.run_heralded(c), _preset_reference(kind, n))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_main=st.sampled_from([2, 3]),
+       n_anc=st.sampled_from([0, 1]))
+@settings(max_examples=30, deadline=None)
+def test_eager_heralding_matches_full_propagation_on_random_graphs(seed, n_main, n_anc):
+    g = bigraph.random_epm(np.random.default_rng(seed), n_main, n_anc,
+                           realizable=True)
+    try:
+        c = compile_graph(g)
+    except CompileError:
+        assume(False)
+    assert_same_outcomes(sim.run_heralded(c), reference_outcomes(c))
+
+
+@pytest.mark.parametrize("kind,n", PRESETS)
+@ENCODINGS
+def test_herald_schedule_filters_after_the_tap_off(kind, n, dual_rail):
+    # each group is projected right after its block's last tap-off (the
+    # subtract-stage element spanning two locations: a PBS, or a rail swap
+    # in dual-rail), so before any which-path mixer
+    c = _preset_circuit(kind, n, dual_rail)
+    first_mix = next(i for i, el in enumerate(c.elements) if el.stage == "mix")
+    placed = {grp.gid: i for i, filters in sim._herald_schedule(c).items()
+              for grp, _ in filters}
+    assert sorted(placed) == sorted(grp.gid for grp in c.detector_groups)
+    for gid, at in placed.items():
+        blk = c.layout.blocks[gid]
+        taps = {w for loc in blk.tap_locs for w in c.layout.loc_wires[loc].values()}
+        tap_off = max(i for i, el in enumerate(c.elements)
+                      if el.stage == "subtract" and taps & set(el.wires_used())
+                      and len({c.wire(w).mode for w in el.wires_used()}) >= 2)
+        assert at == tap_off < first_mix
+
+
+def test_source_after_a_herald_filter_point_is_counted():
+    # the detector wire's photon comes from a source placed last, so no
+    # filter may be projected before that source
+    wires = [Wire(0, "a", "H"), Wire(1, "a", "V")]
+    c = Circuit(wires, [Source(0, 1), Source(1, 1)], [DetectorGroup(1, (1,), 1)],
+                outputs=[0], output_modes=["a"])
+    outcomes = sim.run_heralded(c)
+    assert len(outcomes) == 1
+    assert_same_outcomes(outcomes, reference_outcomes(c))
+
+
+def test_filter_set_never_spans_two_detector_groups():
+    # a swap links the two groups' wires; one filter set over both would
+    # count two photons and reject the only outcome
+    wires = [Wire(0, "a", "H"), Wire(1, "a", "V"), Wire(2, "b", "H")]
+    c = Circuit(wires, [Source(0, 1), Source(1, 1), Swap(((0, 1), (1, 0)))],
+                [DetectorGroup(1, (0,), 1), DetectorGroup(2, (1,), 1)],
+                outputs=[2], output_modes=["b"])
+    outcomes = sim.run_heralded(c)
+    assert len(outcomes) == 1
+    assert_same_outcomes(outcomes, reference_outcomes(c))
 
 
 def test_detector_budget_exceeding_photons_gives_no_outcomes():
