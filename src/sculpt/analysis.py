@@ -109,15 +109,6 @@ class SchemeReport:
     runtime_s: float
     notes: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        doc = {k: getattr(self, k) for k in (
-            "kind", "n", "epm", "no_bunching", "oracle_target_fidelity",
-            "p_with_ff", "p_without_ff", "n_outcomes", "n_correctable",
-            "min_corrected_fidelity", "genuine", "runtime_s", "notes")}
-        doc["p_with_ff_rational"] = fock.rationalize(self.p_with_ff)
-        doc["p_without_ff_rational"] = fock.rationalize(self.p_without_ff)
-        return doc
-
     def lines(self) -> list[str]:
         fr_ff = fock.rationalize(self.p_with_ff) or f"{self.p_with_ff:.3e}"
         fr_no = fock.rationalize(self.p_without_ff) or f"{self.p_without_ff:.3e}"

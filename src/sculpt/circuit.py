@@ -166,19 +166,6 @@ class Circuit:
     def detector_wires(self) -> set[int]:
         return {w for grp in self.detector_groups for w in grp.wires}
 
-    def count_elements(self, kind: str, stage: str | None = None,
-                       ports: int | None = None) -> int:
-        total = 0
-        for el in self.elements:
-            if el.kind != kind:
-                continue
-            if stage is not None and el.stage != stage:
-                continue
-            if ports is not None and getattr(el, "n", None) != ports:
-                continue
-            total += 1
-        return total
-
 
 def validate(c: Circuit) -> list[str]:
     """Structural diagnostics; an empty list means the invariants hold."""
@@ -224,6 +211,11 @@ def validate(c: Circuit) -> list[str]:
     for w in c.outputs:
         if w not in ids:
             diags.append(f"output wire {w} undeclared")
+    for mode in c.output_modes:
+        channels = sorted((w.channel for w in c.wires if w.mode == mode), key=str)
+        if channels not in (["H", "V"], ["0", "1"]):
+            diags.append(f"output mode {mode!r} has channels {channels}, "
+                         f"not one H/V or 0/1 pair")
     if c.encoding not in (POLARIZATION, DUAL_RAIL):
         diags.append(f"unknown encoding {c.encoding!r}")
     return diags

@@ -217,7 +217,7 @@ def cmd_report(args) -> int:
     jobs: list[tuple[str, int]] = []
     if args.all:
         jobs += [("ghz", n) for n in range(2, args.max_n + 1)]
-        jobs += [("w", n) for n in range(2, min(args.max_n, 4) + 1)]
+        jobs += [("w", n) for n in range(2, args.max_n + 1)]
         jobs += [("type5", 3)]
     else:
         raise CliError("report currently requires --all")

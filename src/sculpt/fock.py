@@ -3,8 +3,7 @@
 States live in the bosonic Fock space over an arbitrary set of integer wire
 ids (one id per single-mode channel, e.g. one spatial path with one
 polarization).  A state is a sparse complex superposition of occupation
-vectors; all operations are pure and return new states, so values can be
-shared freely across threads.
+vectors; all operations are pure and return new states.
 
 Conventions:
     * amplitudes below ``DROP_TOL`` are dropped at insertion,
@@ -47,9 +46,6 @@ class WireTable:
 
     def id_of(self, label) -> WireId:
         return self._by_label[label]
-
-    def label_of(self, wid: WireId):
-        return self._by_id[wid]
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -116,10 +112,6 @@ class FockState:
             used.update(w for w, _ in occ)
         return used
 
-    def total_photons(self) -> set[int]:
-        """Set of total photon numbers present across terms."""
-        return {sum(n for _, n in occ) for occ in self._terms} or {0}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
         for occ, amp in sorted(self._terms.items()):
@@ -131,15 +123,6 @@ class FockState:
 def norm2(state: FockState) -> float:
     """Squared norm <state|state>."""
     return sum(abs(a) ** 2 for _, a in state.terms())
-
-
-def inner(a: FockState, b: FockState) -> complex:
-    """<a|b> over the orthonormal occupation basis."""
-    if a.num_terms() > b.num_terms():
-        return complex(sum(a._terms[occ].conjugate() * amp
-                           for occ, amp in b.terms() if occ in a._terms))
-    return complex(sum(amp.conjugate() * b._terms[occ]
-                       for occ, amp in a.terms() if occ in b._terms))
 
 
 def scale(state: FockState, c: complex) -> FockState:
@@ -262,59 +245,31 @@ def strip_wires(state: FockState, wires: Iterable[WireId]) -> FockState:
     return FockState(out)
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of non-negative ints summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def substitute(state: FockState, rules: Mapping[WireId, Sequence[tuple[WireId, complex]]]) -> FockState:
     """Apply a linear substitution on creation operators.
 
     ``rules[w] = [(w', c'), ...]`` means a†_w -> sum c' a†_{w'}; wires not in
-    ``rules`` are untouched.  The substitution is lifted to multi-photon terms
-    multilinearly, with the sqrt(n!) occupation normalization handled here, so
-    unitary rules preserve the squared norm exactly.
+    ``rules`` are untouched.  Terms are grouped by their occupation of the
+    rule wires; each group's image is built once, by applying the
+    substituted creation operators to the group's rest of the occupation,
+    so every sqrt(n) factor, including on image wires the rest already
+    holds, comes from :func:`create`.  Unitary rules preserve the squared
+    norm exactly.
     """
-    out: dict[Occupation, complex] = {}
+    groups: dict[Occupation, dict[Occupation, complex]] = {}
     for occ, amp in state.terms():
-        # Polynomial coefficient of the creation monomial for this term.
-        polys: dict[Occupation, complex] = {(): amp}
-        for wi, ni in occ:
-            polys = {occ_p: a / math.sqrt(math.factorial(ni)) for occ_p, a in polys.items()}
-            images = rules.get(wi)
-            if images is None:
-                images = ((wi, 1.0 + 0.0j),)
-            new_polys: dict[Occupation, complex] = {}
-            k = len(images)
-            for powers in _compositions(ni, k):
-                coeff = math.factorial(ni)
-                mono: dict[WireId, int] = {}
-                cval = 1.0 + 0.0j
-                for (wj, cj), p in zip(images, powers):
-                    if p == 0:
-                        continue
-                    coeff //= math.factorial(p)
-                    cval *= cj ** p
-                    mono[wj] = mono.get(wj, 0) + p
-                if abs(cval) < DROP_TOL:
-                    continue
-                for occ_p, a in polys.items():
-                    merged = dict(occ_p)
-                    for wj, p in mono.items():
-                        merged[wj] = merged.get(wj, 0) + p
-                    key = tuple(sorted(merged.items()))
-                    new_polys[key] = new_polys.get(key, 0.0) + a * coeff * cval
-            polys = new_polys
-        for occ_p, a in polys.items():
-            renorm = 1.0
-            for _, p in occ_p:
-                renorm *= math.sqrt(math.factorial(p))
-            out[occ_p] = out.get(occ_p, 0.0) + a * renorm
+        local = tuple((w, n) for w, n in occ if w in rules)
+        rest = tuple((w, n) for w, n in occ if w not in rules)
+        groups.setdefault(local, {})[rest] = amp
+    out: dict[Occupation, complex] = {}
+    for local, rests in groups.items():
+        part = FockState(rests)
+        for w, n in local:
+            for _ in range(n):
+                part = apply_operator(part, rules[w], create)
+            part = scale(part, 1.0 / math.sqrt(math.factorial(n)))
+        for occ, amp in part.terms():
+            out[occ] = out.get(occ, 0.0) + amp
     return FockState(out)
 
 
@@ -335,13 +290,15 @@ def apply_operator(state: FockState, legs: Sequence[tuple[WireId, complex]],
     return out
 
 
-def rationalize(p: float, max_num: int = 2 ** 16, max_three: int = 4,
+def rationalize(p: float, max_num: int = 2 ** 16, max_odd: int = 81,
                 rtol: float = 1e-9) -> str | None:
-    """Render a probability as an exact fraction n / (2^k 3^m) if one fits.
+    """Render a probability as an exact fraction n / (d 2^k), d odd, if one
+    fits.
 
-    Returns e.g. "1/32", "5/1152" or "1/393216", or None when no such
-    fraction lies within ``rtol`` of p, relative to p.  The denominator
-    bound follows p: the power of two grows until the numerator would pass
+    Returns e.g. "1/32", "5/1152" or "1/81920", or None when no such
+    fraction with d <= ``max_odd`` lies within ``rtol`` of p, relative to
+    p.  The default bound covers 3^m up to 81 and the factor n of the W
+    closed forms.  The power of two grows until the numerator would pass
     ``max_num``, so the tiny probabilities of large schemes render as
     exactly as the small ones, and a tiny p is never rounded to "0".  Raw
     floats remain the source of truth; this is for human-readable reports
@@ -352,16 +309,19 @@ def rationalize(p: float, max_num: int = 2 ** 16, max_three: int = 4,
     if p < 0 or p > 1 + rtol:
         return None
     best: tuple[int, int] | None = None
-    for m in range(max_three + 1):
-        den = 3 ** m
-        while p * den <= max_num:
-            num = round(p * den)
-            if abs(p - num / den) <= rtol * p:
-                g = math.gcd(num, den)
-                if best is None or den // g < best[1]:
-                    best = (num // g, den // g)
-                break
-            den *= 2
+    for odd in range(1, max_odd + 1, 2):
+        # Largest power of two keeping p * den <= max_num.  A fraction that
+        # fits at a smaller power also fits here, with num and den scaled by
+        # the same power of two, so this one test per odd factor suffices.
+        k = math.frexp(max_num / (p * odd))[1] - 1
+        if k < 0:
+            break
+        den = odd << k
+        num = round(p * den)
+        if abs(p - num / den) <= rtol * p:
+            g = math.gcd(num, den)
+            if best is None or den // g < best[1]:
+                best = (num // g, den // g)
     if best is None:
         return None
     num, den = best

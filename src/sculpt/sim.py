@@ -79,14 +79,6 @@ def apply_element(state: FockState, el) -> FockState:
     raise SimulationError(f"unknown element {el!r}")
 
 
-def run(circuit: Circuit) -> FockState:
-    """Propagate the sources through every element, with no heralding."""
-    state = FockState.vacuum()
-    for el in circuit.elements:
-        state = apply_element(state, el)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # Heralded outcomes
 # ---------------------------------------------------------------------------
@@ -101,9 +93,6 @@ class HeraldOutcome:
     correction: tuple[str, ...] | None = None
     corrected_fidelity: float | None = None
     identity: bool = False
-
-    def pattern_dict(self) -> dict[int, int]:
-        return dict(self.pattern)
 
 
 def _herald_schedule(circuit: Circuit) -> dict[int, list[tuple[DetectorGroup, set[int]]]]:
@@ -185,15 +174,6 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
         residual = fock.scale(residual, 1.0 / math.sqrt(prob))
         outcomes.append(HeraldOutcome(sig, prob, residual))
     return outcomes
-
-
-def signature_distribution(circuit: Circuit) -> dict[tuple, float]:
-    """Full probability distribution over detector signatures (accepted or
-    not); the values sum to one for a normalized source state."""
-    final = run(circuit)
-    det_wires = sorted(circuit.detector_wires())
-    return {sig: fock.norm2(comp)
-            for sig, comp in fock.group_by_counts(final, det_wires)}
 
 
 def residual_qubits(outcome: HeraldOutcome, circuit: Circuit,

@@ -1,5 +1,6 @@
 """Shared test utilities: creation-polynomial builders over circuit wires,
-and the full-propagation reference for heralded outcomes.
+the full-propagation reference for heralded outcomes, the naive reference
+for ``fock.substitute``, and small readers of states and circuits.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Iterator
 
 from sculpt import fock, sim
 from sculpt.fock import FockState
@@ -74,11 +76,106 @@ def counts_state(counts: dict[int, int], amp: complex = 1.0) -> FockState:
 R2 = 1.0 / math.sqrt(2.0)
 
 
+def total_photons(state: FockState) -> set[int]:
+    """Set of total photon numbers present across terms."""
+    return {sum(n for _, n in occ) for occ, _ in state.terms()} or {0}
+
+
+def inner(a: FockState, b: FockState) -> complex:
+    """<a|b> over the orthonormal occupation basis."""
+    kets = dict(b.terms())
+    return complex(sum(amp.conjugate() * kets.get(occ, 0.0) for occ, amp in a.terms()))
+
+
+def count_elements(circuit, kind: str, stage: str | None = None,
+                   ports: int | None = None) -> int:
+    """Number of elements of a kind, optionally in one stage and with a
+    given multiport size."""
+    return sum(1 for el in circuit.elements
+               if el.kind == kind
+               and (stage is None or el.stage == stage)
+               and (ports is None or getattr(el, "n", None) == ports))
+
+
+def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-tuples of non-negative ints summing to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def naive_substitute(state: FockState, rules) -> FockState:
+    """Reference for ``fock.substitute``: expands every term's creation
+    monomial multinomially, with no grouping and no use of ``create``.
+
+    ``rules[w] = [(w', c'), ...]`` means a†_w -> sum c' a†_{w'}; wires not in
+    ``rules`` are untouched.  The substitution is lifted to multi-photon terms
+    multilinearly, with the sqrt(n!) occupation normalization handled here, so
+    unitary rules preserve the squared norm exactly.
+    """
+    out: dict = {}
+    for occ, amp in state.terms():
+        # Polynomial coefficient of the creation monomial for this term.
+        polys: dict = {(): amp}
+        for wi, ni in occ:
+            polys = {occ_p: a / math.sqrt(math.factorial(ni)) for occ_p, a in polys.items()}
+            images = rules.get(wi)
+            if images is None:
+                images = ((wi, 1.0 + 0.0j),)
+            new_polys: dict = {}
+            k = len(images)
+            for powers in _compositions(ni, k):
+                coeff = math.factorial(ni)
+                mono: dict[int, int] = {}
+                cval = 1.0 + 0.0j
+                for (wj, cj), p in zip(images, powers):
+                    if p == 0:
+                        continue
+                    coeff //= math.factorial(p)
+                    cval *= cj ** p
+                    mono[wj] = mono.get(wj, 0) + p
+                if abs(cval) < fock.DROP_TOL:
+                    continue
+                for occ_p, a in polys.items():
+                    merged = dict(occ_p)
+                    for wj, p in mono.items():
+                        merged[wj] = merged.get(wj, 0) + p
+                    key = tuple(sorted(merged.items()))
+                    new_polys[key] = new_polys.get(key, 0.0) + a * coeff * cval
+            polys = new_polys
+        for occ_p, a in polys.items():
+            renorm = 1.0
+            for _, p in occ_p:
+                renorm *= math.sqrt(math.factorial(p))
+            out[occ_p] = out.get(occ_p, 0.0) + a * renorm
+    return FockState(out)
+
+
+def run(circuit) -> FockState:
+    """Propagate the sources through every element, with no heralding."""
+    state = FockState.vacuum()
+    for el in circuit.elements:
+        state = sim.apply_element(state, el)
+    return state
+
+
+def signature_distribution(circuit) -> dict[tuple, float]:
+    """Full probability distribution over detector signatures (accepted or
+    not); the values sum to one for a normalized source state."""
+    final = run(circuit)
+    det_wires = sorted(circuit.detector_wires())
+    return {sig: fock.norm2(comp)
+            for sig, comp in fock.group_by_counts(final, det_wires)}
+
+
 def reference_outcomes(circuit) -> list[tuple]:
     """Heralded outcomes with no filter moved into the circuit: full
     propagation, then each detector group's count filter on the final
     state.  (pattern, probability, normalized residual) per outcome."""
-    final = sim.run(circuit)
+    final = run(circuit)
     det_wires = sorted(circuit.detector_wires())
     out = []
     for sig, comp in fock.group_by_counts(final, det_wires):

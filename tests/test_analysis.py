@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sculpt import analysis
+from sculpt import analysis, fock
 from sculpt.analysis import (fidelity, genuine_entanglement,
                              oracle_qubit_state, schmidt_rank, target_state,
                              verify_scheme)
@@ -130,8 +130,7 @@ def test_verify_scheme_ghz3():
     assert rep.n_correctable == rep.n_outcomes == 8
     assert rep.min_corrected_fidelity > 1 - 1e-9
     assert any("P_ff = 1/32" in line for line in rep.lines())
-    doc = rep.to_json()
-    assert doc["p_with_ff_rational"] == "1/32"
+    assert fock.rationalize(rep.p_with_ff) == "1/32"
 
 
 def test_verify_scheme_runs_the_oracle_once(monkeypatch):

@@ -282,3 +282,37 @@ def test_simulate_element_not_an_object_exits_2(tmp_path, capsys):
 def test_simulate_malformed_wire_ids_exit_2(tmp_path, capsys, mutate, fragment):
     code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
     assert_one_error(code, out, err, fragment)
+
+
+def _simulate_mutated_target(tmp_path, capsys, mutate):
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    doc = json.loads(c.read_text())
+    mutate(doc)
+    c.write_text(json.dumps(doc))
+    return run_cli(capsys, "simulate", "--circuit", str(c), "--target", "ghz")
+
+
+def test_simulate_output_mode_channel_renamed_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        mode = doc["output_modes"][0]
+        wire = next(w for w in doc["wires"]
+                    if w["mode"] == mode and w["channel"] == "H")
+        wire["channel"] = "X"
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "output mode", "['V', 'X']")
+
+
+def test_simulate_output_mode_naming_no_mode_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        doc["output_modes"][0] = "nowhere"
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "output mode 'nowhere'", "[]")
+
+
+def test_report_max_n_bounds_w_too(capsys):
+    code, out, _ = run_cli(capsys, "report", "--all", "--max-n", "5")
+    rows = [l.split()[:2] for l in out.splitlines()]
+    assert ["w", "5"] in rows and ["ghz", "5"] in rows
+    assert ["w", "6"] not in rows
+    # W's no-feed-forward column stays red as stated
+    assert code == 3

@@ -1,10 +1,13 @@
-"""Ladder algebra, projections, relabeling, and the core boson identities."""
+"""Ladder algebra, projections, relabeling, substitution against its naive
+reference, and the core boson identities."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import inner, naive_substitute, total_photons
 from sculpt import fock
 from sculpt.fock import FockState
 
@@ -85,8 +88,8 @@ def test_add_scaled_cancellation():
 
 
 def test_inner_orthogonality_and_norm():
-    assert fock.inner(ket(w0=1), ket(w1=1)) == 0
-    assert abs(fock.inner(ket(w0=2), ket(w0=2)) - 1.0) < 1e-12
+    assert inner(ket(w0=1), ket(w1=1)) == 0
+    assert abs(inner(ket(w0=2), ket(w0=2)) - 1.0) < 1e-12
     s = fock.add_scaled(ket(w0=1), 1j, ket(w1=1))
     assert abs(fock.norm2(s) - 2.0) < 1e-12
 
@@ -137,7 +140,14 @@ def test_substitute_preserves_norm_and_photons():
     u = {0: ((0, R2), (1, R2)), 1: ((0, R2), (1, -R2))}
     out = fock.substitute(s, u)
     assert abs(fock.norm2(out) - fock.norm2(s)) < 1e-9
-    assert out.total_photons() == s.total_photons()
+    assert total_photons(out) == total_photons(s)
+
+
+def test_substitute_onto_a_wire_the_rest_occupies():
+    # a†_0 -> a†_2 on |1_0 1_2>: a†_2 a†_2 |vac> = sqrt(2) |2_2>
+    out = fock.substitute(ket(w0=1, w2=1), {0: ((2, 1.0),)})
+    assert fock.allclose(out, fock.scale(ket(w2=2), math.sqrt(2)))
+    assert fock.allclose(naive_substitute(ket(w0=1, w2=1), {0: ((2, 1.0),)}), out)
 
 
 wires = st.integers(min_value=0, max_value=3)
@@ -171,9 +181,50 @@ def test_canonical_commutator(s, w):
 def test_ladder_number_identity(s, w):
     # <s|a a†|s> = <s|(n+1)|s>
     created = fock.create(s, w)
-    lhs = fock.inner(created, created)
+    lhs = inner(created, created)
     rhs = sum(abs(amp) ** 2 * (dict(occ).get(w, 0) + 1) for occ, amp in s.terms())
     assert abs(lhs - rhs) < 1e-9
+
+
+coeffs = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_states(draw):
+    """Up to 4 terms on wires 0..4, at most 3 photons per wire."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        counts = draw(st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=5))
+        terms[tuple(sorted(counts.items()))] = draw(coeffs)
+    return FockState(terms)
+
+
+@st.composite
+def substitution_rules(draw):
+    """Rules on 1..3 of the wires 0..4.  Either a unitary from the keys onto
+    as many distinct image wires, or arbitrary non-unitary images with
+    repeated wires; in both, images may fall outside the keys on wires the
+    rest of a term already occupies."""
+    keys = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    k = len(keys)
+    if draw(st.booleans()):
+        images = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k, unique=True))
+        m = np.array(draw(st.lists(coeffs, min_size=k * k, max_size=k * k))).reshape(k, k)
+        u, _ = np.linalg.qr(m + 2 * np.eye(k))
+        return {w: tuple((images[j], complex(u[j, i])) for j in range(k))
+                for i, w in enumerate(keys)}
+    image = st.tuples(st.integers(0, 5), coeffs)
+    return {w: tuple(draw(st.lists(image, min_size=1, max_size=3))) for w in keys}
+
+
+@given(sparse_states(), substitution_rules())
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_naive_reference(s, rules):
+    expect = naive_substitute(s, rules)
+    # amplitudes reach sqrt(n!) times a product of coefficients, so the
+    # absolute tolerance follows the largest one
+    scale = max([1.0] + [abs(a) for _, a in expect.terms()])
+    assert fock.allclose(fock.substitute(s, rules), expect, atol=fock.ATOL * scale)
 
 
 @given(small_states())
@@ -205,3 +256,6 @@ def test_rationalize():
     # the tolerance is relative to p: a tiny p is not rounded to zero
     assert fock.rationalize(1e-12) is None
     assert fock.rationalize(0.0) == "0"
+    # odd factors other than powers of three: the n of the W closed forms
+    assert fock.rationalize(1 / (5 * 2 ** 14)) == "1/81920"    # W 5 P_no_ff
+    assert fock.rationalize(1 / (7 * 2 ** 20)) == "1/7340032"  # W 7 P_no_ff

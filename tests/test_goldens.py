@@ -35,7 +35,7 @@ def test_all_first_detector_residual_is_type5_target(compiled):
     first_wires = {grp.gid: L.blocks[grp.gid].det_wires[0]
                    for grp in c.detector_groups}
     for oc in outcomes:
-        pattern = oc.pattern_dict()
+        pattern = dict(oc.pattern)
         if all(pattern.get(w, 0) == 1 for w in first_wires.values()):
             qs = sim.residual_qubits(oc, c)
             assert fidelity(qs, target_state("type5", 3)) > 1 - 1e-9
@@ -50,7 +50,7 @@ def test_all_first_detector_residual_is_w_target(compiled):
     first_wires = {grp.gid: L.blocks[grp.gid].det_wires[0]
                    for grp in c.detector_groups}
     for oc in outcomes:
-        pattern = oc.pattern_dict()
+        pattern = dict(oc.pattern)
         if all(pattern.get(w, 0) == 1 for w in first_wires.values()):
             qs = sim.residual_qubits(oc, c)
             assert fidelity(qs, target_state("w", 3)) > 1 - 1e-9
@@ -65,7 +65,7 @@ def test_all_first_detector_residual_is_ghz_target(compiled):
     first_wires = {grp.gid: L.blocks[grp.gid].det_wires[0]
                    for grp in c.detector_groups}
     for oc in outcomes:
-        pattern = oc.pattern_dict()
+        pattern = dict(oc.pattern)
         if all(pattern.get(w, 0) == 1 for w in first_wires.values()):
             qs = sim.residual_qubits(oc, c)
             assert fidelity(qs, target_state("ghz", 3)) > 1 - 1e-9
