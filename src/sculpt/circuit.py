@@ -174,10 +174,16 @@ def validate(c: Circuit) -> list[str]:
     if sorted(ids) != list(range(len(c.wires))):
         diags.append("wire ids are not dense 0..n-1")
     for i, el in enumerate(c.elements):
-        for w in el.wires_used():
+        flat = el.wires_used()
+        for w in flat:
             if w not in ids:
                 diags.append(f"element {i} ({el.kind}) consumes undeclared wire {w}")
-        if el.kind == "source" and (not isinstance(el.photons, int) or el.photons < 0):
+        # An element naming one wire twice is not unitary: a wave plate's
+        # two rules collapse into one, which can zero the state.
+        if len(set(flat)) != len(flat):
+            diags.append(f"element {i} ({el.kind}) repeats a wire")
+        if el.kind == "source" and (not isinstance(el.photons, int)
+                                    or isinstance(el.photons, bool) or el.photons < 0):
             diags.append(f"element {i} (source) photon count {el.photons!r} "
                          f"is not a non-negative integer")
         if el.kind in ("swap", "merge"):
@@ -191,9 +197,6 @@ def validate(c: Circuit) -> list[str]:
             arities = {len(grp) for grp in el.ports}
             if len(arities) != 1:
                 diags.append(f"element {i} multiport has ragged port groups")
-            flat = el.wires_used()
-            if len(set(flat)) != len(flat):
-                diags.append(f"element {i} multiport repeats a wire")
     seen: set[int] = set()
     for grp in c.detector_groups:
         for w in grp.wires:
@@ -290,7 +293,8 @@ def _element_from_json(doc: dict, where: str) -> Element:
 
 
 def _int(value, where: str) -> int:
-    if not isinstance(value, int):
+    # JSON true/false load as bool, which subclasses int.
+    if not isinstance(value, int) or isinstance(value, bool):
         raise CircuitSchemaError(f"{where}: {value!r} is not an integer")
     return value
 

@@ -74,6 +74,15 @@ class FockState:
                     data[occ] = complex(amp)
         self._terms = data
 
+    @classmethod
+    def _adopt(cls, terms: dict[Occupation, complex]) -> "FockState":
+        """Wrap a dict a kernel of this module built, with no copy and no
+        re-filter: every amplitude in it is complex and already at least
+        ``DROP_TOL``, e.g. copied unchanged from another state."""
+        state = cls.__new__(cls)
+        state._terms = terms
+        return state
+
     # -- construction -----------------------------------------------------
 
     @staticmethod
@@ -175,29 +184,28 @@ def annihilate(state: FockState, w: WireId) -> FockState:
 
 
 def relabel(state: FockState, mapping: Mapping[WireId, WireId]) -> FockState:
-    """Re-key every occupation vector through a wire bijection.
+    """Re-key every occupation vector through a wire permutation.
 
-    Wires absent from ``mapping`` stay put.  The mapping must be injective and
-    must not collide with fixed wires.
+    ``mapping`` must permute its own wires (its values are its keys, in
+    some order), so distinct terms stay distinct; wires absent from it
+    stay put.  Any other mapping raises ``ValueError``.
     """
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets):
-        raise ValueError("relabel mapping is not injective")
-    moved = set(mapping)
+    if sorted(mapping) != sorted(mapping.values()):
+        raise ValueError("relabel mapping is not a permutation of its wires")
+    get = mapping.get
+    # Each distinct (wire, count) pair is renamed once per call.
+    renamed: dict[tuple[WireId, int], tuple[WireId, int]] = {}
     out: dict[Occupation, complex] = {}
     for occ, amp in state.terms():
-        items = []
-        for wi, ni in occ:
-            nw = mapping.get(wi, wi)
-            if nw != wi and nw not in moved and _occ_get(occ, nw):
-                raise ValueError(f"relabel collides on occupied fixed wire {nw}")
-            items.append((nw, ni))
-        items.sort()
-        key = tuple(items)
-        if key in out:
-            raise ValueError("relabel mapping is not a bijection on the state")
-        out[key] = amp
-    return FockState(out)
+        key = []
+        for pair in occ:
+            new = renamed.get(pair)
+            if new is None:
+                new = renamed[pair] = (get(pair[0], pair[0]), pair[1])
+            key.append(new)
+        key.sort()
+        out[tuple(key)] = amp
+    return FockState._adopt(out)
 
 
 def project_count(state: FockState, wires: Iterable[WireId], n: int) -> tuple[FockState, float]:
@@ -212,7 +220,7 @@ def project_count(state: FockState, wires: Iterable[WireId], n: int) -> tuple[Fo
         tot = sum(ni for wi, ni in occ if wi in wset)
         if tot == n:
             comp[occ] = amp
-    out = FockState(comp)
+    out = FockState._adopt(comp)
     return out, norm2(out)
 
 
@@ -229,7 +237,7 @@ def group_by_counts(state: FockState, wires: Iterable[WireId]):
         sig = tuple((wi, ni) for wi, ni in occ if wi in wset)
         buckets.setdefault(sig, {})[occ] = amp
     for sig in sorted(buckets):
-        yield sig, FockState(buckets[sig])
+        yield sig, FockState._adopt(buckets[sig])
 
 
 def strip_wires(state: FockState, wires: Iterable[WireId]) -> FockState:
@@ -242,7 +250,7 @@ def strip_wires(state: FockState, wires: Iterable[WireId]) -> FockState:
         if key in out:
             raise ValueError("stripped wires were entangled with the rest")
         out[key] = amp
-    return FockState(out)
+    return FockState._adopt(out)
 
 
 def substitute(state: FockState, rules: Mapping[WireId, Sequence[tuple[WireId, complex]]]) -> FockState:
@@ -250,26 +258,31 @@ def substitute(state: FockState, rules: Mapping[WireId, Sequence[tuple[WireId, c
 
     ``rules[w] = [(w', c'), ...]`` means a†_w -> sum c' a†_{w'}; wires not in
     ``rules`` are untouched.  Terms are grouped by their occupation of the
-    rule wires; each group's image is built once, by applying the
-    substituted creation operators to the group's rest of the occupation,
-    so every sqrt(n) factor, including on image wires the rest already
-    holds, comes from :func:`create`.  Unitary rules preserve the squared
-    norm exactly.
+    rule wires.  Each group's image is built once, from vacuum with
+    :func:`create`, and merged into every rest of the group by adding the
+    counts.  An image wire outside the rule keys gets the identity rule, so
+    a rest never holds an image wire and the merge needs no sqrt factor:
+    create has applied them all.  Unitary rules preserve the squared norm
+    exactly.
     """
-    groups: dict[Occupation, dict[Occupation, complex]] = {}
+    rules = {**{v: ((v, 1.0),) for legs in rules.values() for v, _ in legs}, **rules}
+    groups: dict[Occupation, list[tuple[Occupation, complex]]] = {}
     for occ, amp in state.terms():
-        local = tuple((w, n) for w, n in occ if w in rules)
-        rest = tuple((w, n) for w, n in occ if w not in rules)
-        groups.setdefault(local, {})[rest] = amp
+        local = tuple([p for p in occ if p[0] in rules])
+        rest = tuple([p for p in occ if p[0] not in rules])
+        groups.setdefault(local, []).append((rest, amp))
     out: dict[Occupation, complex] = {}
     for local, rests in groups.items():
-        part = FockState(rests)
+        image = FockState.vacuum()
         for w, n in local:
             for _ in range(n):
-                part = apply_operator(part, rules[w], create)
-            part = scale(part, 1.0 / math.sqrt(math.factorial(n)))
-        for occ, amp in part.terms():
-            out[occ] = out.get(occ, 0.0) + amp
+                image = apply_operator(image, rules[w], create)
+            image = scale(image, 1.0 / math.sqrt(math.factorial(n)))
+        image_terms = list(image.terms())
+        for rest, amp in rests:
+            for img, c in image_terms:
+                key = tuple(sorted(rest + img))
+                out[key] = out.get(key, 0.0) + amp * c
     return FockState(out)
 
 

@@ -176,18 +176,22 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
     return outcomes
 
 
-def residual_qubits(outcome: HeraldOutcome, circuit: Circuit,
-                    basis: str = "diagonal") -> QubitState:
-    """Read an outcome's residual into qubit amplitudes.
-
-    Output rails are polarization H/V (or rails 0/1), which encode the
-    diagonal +/- pair."""
+def _output_rails(circuit: Circuit) -> list[tuple[int, int]]:
+    """(rail 0, rail 1) wires of each output mode: polarization H/V or
+    rails 0/1, which encode the diagonal +/- pair."""
     rails = []
     for mode in circuit.output_modes:
         pair = circuit.mode_wires(mode)
         key0, key1 = ("H", "V") if "H" in pair else ("0", "1")
         rails.append((pair[key0], pair[key1]))
-    return to_qubit_state(outcome.residual, rails, rails="diagonal", basis=basis)
+    return rails
+
+
+def residual_qubits(outcome: HeraldOutcome, circuit: Circuit,
+                    basis: str = "diagonal") -> QubitState:
+    """Read an outcome's residual into qubit amplitudes."""
+    return to_qubit_state(outcome.residual, _output_rails(circuit),
+                          rails="diagonal", basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +266,45 @@ def _phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
     yield from rec(0, [])
 
 
+class _CorrectionPlan:
+    """Everything :meth:`solve` needs of one target that does not depend on
+    the residual: the normalized target, its support and off-support, the
+    bit table and the rows of the phase equations.  Built once per target."""
+
+    def __init__(self, target: QubitState) -> None:
+        self.t = target.normalized().amps
+        self.n = n = target.n_qubits
+        self.index = np.arange(self.t.size)
+        self.supp = np.where(np.abs(self.t) > 1e-10)[0]
+        self.off_supp = np.setdiff1d(self.index, self.supp)
+        self.t_supp = self.t[self.supp]
+        self.abs_t_supp = np.abs(self.t_supp)
+        self.all_bits = ((self.index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
+        bits = self.all_bits[self.supp]
+        self.rows = list(bits[1:] - bits[0])
+
+    def solve(self, residual: QubitState,
+              atol: float) -> tuple[tuple[str, ...], float] | None:
+        """Correction for one residual, read in the target's basis."""
+        r = residual.normalized().amps
+        if r.size != self.t.size:
+            raise ValueError("qubit counts differ")
+        for a_mask in range(2 ** self.n):
+            perm = r[self.index ^ a_mask]
+            perm_supp = perm[self.supp]
+            if np.any(np.abs(np.abs(perm_supp) - self.abs_t_supp) > 1e-7):
+                continue
+            if np.any(np.abs(perm[self.off_supp]) > 1e-7):
+                continue
+            q = np.angle(self.t_supp / perm_supp)
+            for x in _phase_solutions(self.rows, _wrap(q[1:] - q[0]), self.n):
+                corrected = np.exp(1j * (self.all_bits @ x)) * perm
+                fid = abs(np.vdot(self.t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
+                if fid >= 1.0 - atol:
+                    return _labels(a_mask, x, self.n), float(fid)
+        return None
+
+
 def solve_correction(residual: QubitState, target: QubitState,
                      atol: float = 1e-9) -> tuple[tuple[str, ...], float] | None:
     """Per-mode correction X^a * diag(1, e^{i phi}) mapping residual onto
@@ -271,30 +314,7 @@ def solve_correction(residual: QubitState, target: QubitState,
     """
     if residual.basis != target.basis:
         target = target.in_basis(residual.basis)
-    r = residual.normalized().amps
-    t = target.normalized().amps
-    if r.size != t.size:
-        raise ValueError("qubit counts differ")
-    n = residual.n_qubits
-    supp = np.where(np.abs(t) > 1e-10)[0]
-    off_supp = np.setdiff1d(np.arange(r.size), supp)
-    all_bits = ((np.arange(r.size)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
-    for a_mask in range(2 ** n):
-        perm = r[np.arange(r.size) ^ a_mask]
-        if np.any(np.abs(np.abs(perm[supp]) - np.abs(t[supp])) > 1e-7):
-            continue
-        if np.any(np.abs(perm[off_supp]) > 1e-7):
-            continue
-        q = np.angle(t[supp] / perm[supp])
-        bits = all_bits[supp]
-        rows = [bits[i] - bits[0] for i in range(1, len(supp))]
-        angles = [_wrap(q[i] - q[0]) for i in range(1, len(supp))]
-        for x in _phase_solutions(rows, angles, n):
-            corrected = np.exp(1j * (all_bits @ x)) * perm
-            fid = abs(np.vdot(t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
-            if fid >= 1.0 - atol:
-                return _labels(a_mask, x, n), float(fid)
-    return None
+    return _CorrectionPlan(target).solve(residual, atol)
 
 
 def _labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
@@ -307,8 +327,11 @@ def _labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
         elif abs(abs(phi) - math.pi) <= 1e-7:
             p = "Z"
         else:
-            frac = Fraction(phi / math.pi).limit_denominator(12)
-            if abs(phi - float(frac) * math.pi) <= 1e-7:
+            # The smallest denominator d <= 12 that fits is the reduced one.
+            ratio = phi / math.pi
+            frac = next((Fraction(round(ratio * d), d) for d in range(1, 13)
+                         if abs(phi - round(ratio * d) / d * math.pi) <= 1e-7), None)
+            if frac is not None:
                 p = f"P({frac}pi)" if frac != 1 else "Z"
             else:
                 p = f"P({phi:.6f})"
@@ -326,10 +349,13 @@ def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
     phase), correctable (a local correction reaches the target exactly), and
     failed (correction is None).
     """
+    plan = _CorrectionPlan(target)
+    rails = _output_rails(circuit)
 
     def one(oc: HeraldOutcome) -> HeraldOutcome:
-        qs = residual_qubits(oc, circuit, basis=target.basis)
-        found = solve_correction(qs, target, atol)
+        qs = to_qubit_state(oc.residual, rails, rails="diagonal",
+                            basis=target.basis)
+        found = plan.solve(qs, atol)
         if found is None:
             return replace(oc, correction=None, corrected_fidelity=None,
                            identity=False)

@@ -1,6 +1,7 @@
 """Shared test utilities: creation-polynomial builders over circuit wires,
-the full-propagation reference for heralded outcomes, the naive reference
-for ``fock.substitute``, and small readers of states and circuits.
+the full-propagation reference for heralded outcomes, the naive references
+for ``fock.substitute`` and ``fock.relabel``, and small readers of states
+and circuits.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -151,6 +152,16 @@ def naive_substitute(state: FockState, rules) -> FockState:
             for _, p in occ_p:
                 renorm *= math.sqrt(math.factorial(p))
             out[occ_p] = out.get(occ_p, 0.0) + a * renorm
+    return FockState(out)
+
+
+def naive_relabel(state: FockState, mapping) -> FockState:
+    """Reference for ``fock.relabel``: re-keys each term through a dict of
+    its counts, wire by wire."""
+    out: dict = {}
+    for occ, amp in state.terms():
+        counts = {mapping.get(w, w): n for w, n in occ}
+        out[tuple(sorted(counts.items()))] = amp
     return FockState(out)
 
 

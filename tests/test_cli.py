@@ -309,6 +309,39 @@ def test_simulate_output_mode_naming_no_mode_exits_2(tmp_path, capsys):
     assert_one_error(code, out, err, "output mode 'nowhere'", "[]")
 
 
+def test_simulate_wave_plate_on_one_wire_exits_2(tmp_path, capsys):
+    # its two rules collapse into one, which zeroes the state
+    def mutate(doc):
+        hwp = doc["elements"][4]
+        assert hwp["kind"] == "hwp"
+        hwp["v"] = hwp["h"]
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "element 4 (hwp)", "repeats a wire")
+
+
+def test_simulate_pbs_repeating_a_wire_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        pbs = _first(doc, "pbs")
+        pbs["b_v"] = pbs["a_v"]
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "(pbs)", "repeats a wire")
+
+
+@pytest.mark.parametrize("mutate,fragment", [
+    (lambda doc: doc["wires"][1].update(id=True), "wires[1].id"),
+    (lambda doc: doc["detector_groups"][0].update(id=True), "detector_groups[0].id"),
+    (lambda doc: doc["detector_groups"][0]["wires"].__setitem__(0, True),
+     "detector_groups[0].wires"),
+    (lambda doc: doc["detector_groups"][0].update(count=True),
+     "detector_groups[0].count"),
+    (lambda doc: doc["outputs"].__setitem__(0, True), "outputs"),
+    (lambda doc: _first(doc, "source").update(photons=True), "photon count True"),
+], ids=["wire-id", "group-id", "group-wire", "count", "output-wire", "photons"])
+def test_simulate_boolean_integer_field_exits_2(tmp_path, capsys, mutate, fragment):
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, fragment)
+
+
 def test_report_max_n_bounds_w_too(capsys):
     code, out, _ = run_cli(capsys, "report", "--all", "--max-n", "5")
     rows = [l.split()[:2] for l in out.splitlines()]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import inner, naive_substitute, total_photons
+from helpers import inner, naive_relabel, naive_substitute, total_photons
 from sculpt import fock
 from sculpt.fock import FockState
 
@@ -135,6 +135,12 @@ def test_relabel_rejects_non_bijection():
         fock.relabel(s, {0: 1, 2: 1})
 
 
+def test_relabel_rejects_non_permutation():
+    # wire 5 is not one of the mapping's own wires, occupied or not
+    with pytest.raises(ValueError):
+        fock.relabel(ket(w0=1), {0: 5})
+
+
 def test_substitute_preserves_norm_and_photons():
     s = fock.add_scaled(ket(w0=2, w1=1), 0.5, ket(w1=3))
     u = {0: ((0, R2), (1, R2)), 1: ((0, R2), (1, -R2))}
@@ -259,3 +265,17 @@ def test_rationalize():
     # odd factors other than powers of three: the n of the W closed forms
     assert fock.rationalize(1 / (5 * 2 ** 14)) == "1/81920"    # W 5 P_no_ff
     assert fock.rationalize(1 / (7 * 2 ** 20)) == "1/7340032"  # W 7 P_no_ff
+
+
+@st.composite
+def wire_permutations(draw):
+    """A permutation of 1-4 distinct wires among 0..5 (the states above
+    use 0..4), as a mapping."""
+    keys = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    return dict(zip(keys, draw(st.permutations(keys))))
+
+
+@given(sparse_states(), wire_permutations())
+@settings(max_examples=200, deadline=None)
+def test_relabel_matches_naive_reference(s, mapping):
+    assert dict(fock.relabel(s, mapping).terms()) == dict(naive_relabel(s, mapping).terms())

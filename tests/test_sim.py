@@ -339,6 +339,54 @@ def test_solve_correction_reports_failure():
     assert sim.solve_correction(other, t) is None
 
 
+@pytest.mark.parametrize("kind,n", PRESETS)
+@ENCODINGS
+def test_classify_matches_per_outcome_solve_correction(kind, n, dual_rail):
+    c = _preset_circuit(kind, n, dual_rail)
+    target = oracle_qubit_state(bigraph.preset(kind, n))
+    outcomes = sim.run_heralded(c)
+    classified = sim.classify_feedforward(outcomes, target, c)
+    assert len(classified) == len(outcomes)
+    for oc, cl in zip(outcomes, classified):
+        qs = sim.residual_qubits(oc, c, basis=target.basis)
+        labels, fid = sim.solve_correction(qs, target, fock.ATOL)
+        assert cl.correction == labels, oc.pattern
+        assert cl.identity == all(l == "I" for l in labels)
+        assert abs(cl.corrected_fidelity - fid) <= fock.ATOL
+
+
+@st.composite
+def corrected_pairs(draw):
+    """A random target on 1-4 qubits and the residual that a random local
+    correction X^a diag(1, e^{i phi}) per qubit, phi a multiple of pi/4,
+    maps back onto it, up to a global phase."""
+    n = draw(st.integers(1, 4))
+    size = 2 ** n
+    mags = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]),
+                         min_size=size, max_size=size))
+    assume(any(mags))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=size, max_size=size))
+    t = np.array(mags) * np.exp(1j * np.array(phases))
+    a_mask = draw(st.integers(0, size - 1))
+    x = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))) * math.pi / 4
+    bits = (np.arange(size)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    # corrected[b] = e^{i b.x} r[b ^ a] must equal t[b]
+    r = np.empty(size, dtype=complex)
+    r[np.arange(size) ^ a_mask] = t * np.exp(-1j * (bits @ x))
+    glob = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    return (QubitState(r * glob, "diagonal").normalized(),
+            QubitState(t, "diagonal").normalized())
+
+
+@given(corrected_pairs())
+@settings(max_examples=200, deadline=None)
+def test_solve_correction_undoes_a_random_local_correction(pair):
+    residual, target = pair
+    found = sim.solve_correction(residual, target, fock.ATOL)
+    assert found is not None
+    assert found[1] >= 1 - fock.ATOL
+
+
 def test_phase_solver_unit_pivots():
     rows = [np.array([1, 1, 0]), np.array([0, 1, 1])]
     angles = [0.5, -0.25]
@@ -347,6 +395,18 @@ def test_phase_solver_unit_pivots():
     for x in sols:
         assert abs((rows[0] @ x) - 0.5) < 1e-9
         assert abs((rows[1] @ x) + 0.25) < 1e-9
+
+
+def test_phase_solver_negates_a_negative_pivot_with_its_angle():
+    # eliminating x0 leaves -x1 + x2 first, which pivots on a -1
+    rows = [np.array([1, 1, 0]), np.array([1, 0, 1]), np.array([0, 1, 1])]
+    truth = np.array([0.25, 1.0, -0.5]) * math.pi
+    angles = [sim._wrap(float(r @ truth)) for r in rows]
+    sols = list(sim._phase_solutions(rows, angles, 3))
+    assert sols
+    for x in sols:
+        for r, a in zip(rows, angles):
+            assert abs(sim._wrap(float(r @ x) - a)) < 1e-9
 
 
 def test_phase_solver_branches_on_scaled_pivot():
