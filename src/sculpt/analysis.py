@@ -155,8 +155,8 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int,
     if fid_ot < 1.0 - atol:
         notes.append("oracle state does not match the named target")
 
-    circuit = compile_graph(g)
-    outcomes = sim.run_heralded(circuit)
+    circuit = compile_graph(g)  # validates
+    outcomes = sim.run_heralded(circuit, check=False)
     classified = sim.classify_feedforward(outcomes, oracle_q, circuit, atol=atol)
     p_ff = sim.success_probability(classified, "with_ff")
     p_no = sim.success_probability(classified, "without_ff")

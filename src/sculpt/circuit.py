@@ -269,24 +269,30 @@ def _element_from_json(doc: dict, where: str) -> Element:
         raise CircuitSchemaError(f"{where}: expected an object")
     kind = doc.get("kind")
     stage = doc.get("stage", "")
+
+    def wire(key: str) -> int:
+        return _int(doc[key], key)
+
+    def pairs() -> tuple[tuple[int, int], ...]:
+        return tuple((_int(a, "mapping"), _int(b, "mapping")) for a, b in doc["mapping"])
+
     try:
         if kind == "source":
-            return Source(doc["wire"], doc["photons"], stage)
+            return Source(wire("wire"), doc["photons"], stage)
         if kind == "hwp":
-            return HWP(doc["mode"], doc["h"], doc["v"], stage)
+            return HWP(doc["mode"], wire("h"), wire("v"), stage)
         if kind == "uhwp":
-            return UHWP(doc["mode"], doc["h"], doc["v"], stage)
+            return UHWP(doc["mode"], wire("h"), wire("v"), stage)
         if kind == "pbs":
-            return PBS(doc["mode_a"], doc["mode_b"], doc["a_h"], doc["a_v"],
-                       doc["b_h"], doc["b_v"], stage)
+            return PBS(doc["mode_a"], doc["mode_b"], wire("a_h"), wire("a_v"),
+                       wire("b_h"), wire("b_v"), stage)
         if kind in ("bs", "multiport"):
-            ports = tuple(tuple(int(w) for w in grp) for grp in doc["ports"])
-            return Multiport(ports, stage)
+            return Multiport(tuple(tuple(_int(w, "ports") for w in grp)
+                                   for grp in doc["ports"]), stage)
         if kind == "swap":
-            return Swap(tuple((int(a), int(b)) for a, b in doc["mapping"]), stage)
+            return Swap(pairs(), stage)
         if kind == "merge":
-            return ReturnMerge(doc["mode"],
-                               tuple((int(a), int(b)) for a, b in doc["mapping"]), stage)
+            return ReturnMerge(doc["mode"], pairs(), stage)
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(f"{where}: malformed {kind} element ({exc})") from None
     raise CircuitSchemaError(f"{where}: unknown element kind {kind!r}")

@@ -148,10 +148,15 @@ def cmd_simulate(args) -> int:
             raise CliError(f"--n {args.n} does not match the circuit's "
                            f"{n_out} output modes")
         target = _target(args.target, n_out)
-    outcomes = sim.run_heralded(c, check=False)
-    if target is not None:
-        outcomes = sim.classify_feedforward(outcomes, target, c,
-                                            atol=_atol(args, conf))
+    try:
+        outcomes = sim.run_heralded(c, check=False)
+        if target is not None:
+            outcomes = sim.classify_feedforward(outcomes, target, c,
+                                                atol=_atol(args, conf))
+    except (sim.SimulationError, ValueError) as exc:
+        # a valid circuit that heralds photons off the outputs, or leaves
+        # residuals that are not one photon per output mode
+        raise CliError(f"{args.circuit}: {exc}") from None
     rows = []
     total = 0.0
     for oc in outcomes:

@@ -185,18 +185,60 @@ class QubitState:
 
 
 def hadamard_all(vec: np.ndarray) -> np.ndarray:
-    """Apply the per-qubit Hadamard butterfly to a 2^n vector."""
-    out = np.asarray(vec, dtype=complex).copy()
-    n = out.size
-    h = 1
+    """Apply the per-qubit Hadamard butterfly to a 2^n vector, or to each
+    row of a stack of them."""
+    out = np.array(vec, dtype=complex)
+    n = out.shape[-1]
     r = 1.0 / math.sqrt(2.0)
+    h = 1
     while h < n:
-        for i in range(0, n, h * 2):
-            for j in range(i, i + h):
-                x, y = out[j], out[j + h]
-                out[j], out[j + h] = (x + y) * r, (x - y) * r
+        pairs = out.reshape(-1, n // (2 * h), 2, h)
+        x, y = pairs[:, :, 0], pairs[:, :, 1]
+        pairs[:, :, 0], pairs[:, :, 1] = (x + y) * r, (x - y) * r
         h *= 2
     return out
+
+
+def qubit_amplitudes(states: Sequence[FockState],
+                     mode_rails: Sequence[tuple[WireId, WireId]]) -> np.ndarray:
+    """Read one-boson-per-mode Fock states into the rows of one
+    len(states) x 2^n amplitude matrix, unnormalized, in one pass over their
+    terms.
+
+    ``mode_rails[j]`` names mode j's two wires (rail 0, rail 1); mode 0 is
+    the most significant bit.  Terms with bunched modes, empty modes, or
+    photons on other wires raise.
+    """
+    n = len(mode_rails)
+    slot = {w: (n - 1 - j, bit) for j, pair in enumerate(mode_rails)
+            for bit, w in enumerate(pair)}
+    index_of: dict[fock.Occupation, int] = {}
+    at_row: list[int] = []
+    at_idx: list[int] = []
+    values: list[complex] = []
+    for row, state in enumerate(states):
+        for occ, amp in state.terms():
+            idx = index_of.get(occ)
+            if idx is None:
+                idx = modes = photons = 0
+                for w, c in occ:
+                    if w not in slot:
+                        raise ValueError("state has photons outside the qubit rails")
+                    shift, bit = slot[w]
+                    idx |= bit << shift
+                    modes |= 1 << shift
+                    photons += c
+                # n photons touching all n modes is one photon per mode
+                if modes != (1 << n) - 1 or photons != n:
+                    raise ValueError("state is not one boson per mode")
+                index_of[occ] = idx
+            at_row.append(row)
+            at_idx.append(idx)
+            values.append(amp)
+    amps = np.zeros((len(states), 2 ** n), dtype=complex)
+    # distinct terms of one state are distinct qubit indices
+    amps[at_row, at_idx] = values
+    return amps
 
 
 def to_qubit_state(state: FockState, mode_rails: Sequence[tuple[WireId, WireId]],
@@ -210,20 +252,7 @@ def to_qubit_state(state: FockState, mode_rails: Sequence[tuple[WireId, WireId]]
     requested ``basis``; the pre-normalization squared norm is kept in
     ``weight``.
     """
-    n = len(mode_rails)
-    allowed = {w for pair in mode_rails for w in pair}
-    vec = np.zeros(2 ** n, dtype=complex)
-    for occ, amp in state.terms():
-        counts = dict(occ)
-        if any(w not in allowed for w in counts):
-            raise ValueError("state has photons outside the qubit rails")
-        idx = 0
-        for w0, w1 in mode_rails:
-            n0, n1 = counts.get(w0, 0), counts.get(w1, 0)
-            if n0 + n1 != 1:
-                raise ValueError("state is not one boson per mode")
-            idx = (idx << 1) | (1 if n1 else 0)
-        vec[idx] += amp
+    vec = qubit_amplitudes([state], mode_rails)[0]
     weight = float(np.vdot(vec, vec).real)
     if weight == 0:
         raise ValueError("zero state has no qubit reading")

@@ -9,18 +9,20 @@ conditional residual state and probability.  Each group's count filter is
 projected as soon as its subtractor's herald is fixed, so rejected branches
 are not carried through the rest of the circuit.
 
-Feed-forward classification searches, per outcome, for local corrections of
-the form X^a * diag(1, e^{i phi}) per output mode (bit flip optional,
-diagonal phase solved exactly) that map the residual onto the target; an
-outcome is identity-correct when no correction is needed.
+Feed-forward classification searches for local corrections of the form
+X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
+solved exactly) that map a residual onto the target; an outcome is
+identity-correct when no correction is needed.  All outcomes of one call are
+solved together: one amplitude matrix, one walk over the bit-flip masks.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,7 +32,7 @@ from . import fock
 from .circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
                       ReturnMerge, Source, Swap, UHWP, validate)
 from .fock import FockState
-from .sculpting import QubitState, to_qubit_state
+from .sculpting import QubitState, hadamard_all, qubit_amplitudes, to_qubit_state
 
 _R2 = 1.0 / math.sqrt(2.0)
 
@@ -201,19 +203,24 @@ def residual_qubits(outcome: HeraldOutcome, circuit: Circuit,
 _ANGLE_TOL = 1e-7
 
 
-def _wrap(a: float) -> float:
+def _wrap(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
-    """Solutions x of sum_k rows[i][k] x_k = angles[i] (mod 2pi), free vars 0.
+def _phase_solutions(rows: list[np.ndarray], angles: np.ndarray, n: int):
+    """Solutions x of sum_k rows[i][k] x_k = angles[i] (mod 2pi), free vars 0,
+    for a batch of right-hand sides at once: ``angles[i]`` holds equation
+    i's angle for each of R systems.
 
-    Integer coefficient matrix; eliminates with unit pivots, branches on
-    single-variable rows with larger coefficients, rejects anything else.
-    Yields candidate x vectors (possibly none).
+    Integer coefficient matrix, shared by the batch, so every pivot and
+    branch choice depends on ``rows`` alone: eliminates with unit pivots,
+    branches on single-variable rows with larger coefficients, rejects
+    anything else.  Yields ``(consistent, x)`` per branch choice: x is an
+    (R, n) array of candidates, valid where ``consistent`` is set.
     """
-    eqs = [(r.astype(float).copy(), float(a)) for r, a in zip(rows, angles)]
-    pivots: list[tuple[int, np.ndarray, float]] = []
+    angles = np.asarray(angles, dtype=float)
+    eqs = [(r.astype(float).copy(), a) for r, a in zip(rows, angles)]
+    pivots: list[tuple[int, np.ndarray, np.ndarray]] = []
     while True:
         pick = None
         for i, (r, a) in enumerate(eqs):
@@ -233,12 +240,12 @@ def _phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
             if m:
                 eqs[j] = (rj - m * r, aj - m * a)
 
-    branch_vars: list[tuple[int, int, float]] = []
+    consistent = np.ones(angles.shape[1], dtype=bool)
+    branch_vars: list[tuple[int, int, np.ndarray]] = []
     for r, a in eqs:
         nz = np.where(np.abs(r) > 1e-9)[0]
         if nz.size == 0:
-            if abs(_wrap(a)) > _ANGLE_TOL:
-                return
+            consistent &= np.abs(_wrap(a)) <= _ANGLE_TOL
             continue
         if nz.size == 1:
             d = int(round(abs(r[nz[0]])))
@@ -248,61 +255,74 @@ def _phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
         else:
             return
 
-    def assemble(choices: list[int]):
-        x = np.zeros(n)
+    for choices in itertools.product(*(range(d) for _, d, _ in branch_vars)):
+        x = np.zeros((angles.shape[1], n))
         for (k, d, base), c in zip(branch_vars, choices):
-            x[k] = base + 2.0 * math.pi * c / d
+            x[:, k] = base + 2.0 * math.pi * c / d
         for k, r, a in reversed(pivots):
-            x[k] = a - (float(r @ x) - r[k] * x[k])
-        return x
-
-    def rec(i: int, choices: list[int]):
-        if i == len(branch_vars):
-            yield assemble(choices)
-            return
-        for c in range(branch_vars[i][1]):
-            yield from rec(i + 1, choices + [c])
-
-    yield from rec(0, [])
+            x[:, k] = a - (x @ r - r[k] * x[:, k])
+        yield consistent, x
 
 
 class _CorrectionPlan:
     """Everything :meth:`solve` needs of one target that does not depend on
-    the residual: the normalized target, its support and off-support, the
+    the residuals: the normalized target, its support and off-support, the
     bit table and the rows of the phase equations.  Built once per target."""
 
     def __init__(self, target: QubitState) -> None:
         self.t = target.normalized().amps
         self.n = n = target.n_qubits
         self.index = np.arange(self.t.size)
-        self.supp = np.where(np.abs(self.t) > 1e-10)[0]
-        self.off_supp = np.setdiff1d(self.index, self.supp)
+        self.supp = np.flatnonzero(np.abs(self.t) > 1e-10)
+        self.off_supp = np.flatnonzero(np.abs(self.t) <= 1e-10)
         self.t_supp = self.t[self.supp]
         self.abs_t_supp = np.abs(self.t_supp)
         self.all_bits = ((self.index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
         bits = self.all_bits[self.supp]
         self.rows = list(bits[1:] - bits[0])
 
-    def solve(self, residual: QubitState,
-              atol: float) -> tuple[tuple[str, ...], float] | None:
-        """Correction for one residual, read in the target's basis."""
-        r = residual.normalized().amps
-        if r.size != self.t.size:
+    def solve(self, amps: np.ndarray,
+              atol: float) -> list[tuple[tuple[str, ...], float] | None]:
+        """Corrections for a batch of unit rows read in the target's basis.
+
+        Walks the bit-flip masks once, in increasing order, testing every
+        still-unresolved row at each; a row takes the first mask and the
+        first phase solution there whose fidelity is >= 1 - atol.
+        """
+        if amps.shape[1] != self.t.size:
             raise ValueError("qubit counts differ")
+        found: list[tuple[tuple[str, ...], float] | None] = [None] * len(amps)
+        mags = np.abs(amps)
+        unresolved = np.ones(len(amps), dtype=bool)
+        pending = np.flatnonzero(unresolved)
         for a_mask in range(2 ** self.n):
-            perm = r[self.index ^ a_mask]
-            perm_supp = perm[self.supp]
-            if np.any(np.abs(np.abs(perm_supp) - self.abs_t_supp) > 1e-7):
+            if not pending.size:
+                break
+            gap = np.abs(mags[pending[:, None], self.supp ^ a_mask] - self.abs_t_supp)
+            cand = pending[~np.any(gap > 1e-7, axis=1)]
+            cand = cand[~np.any(mags[cand[:, None], self.off_supp ^ a_mask] > 1e-7, axis=1)]
+            if not cand.size:
                 continue
-            if np.any(np.abs(perm[self.off_supp]) > 1e-7):
-                continue
-            q = np.angle(self.t_supp / perm_supp)
-            for x in _phase_solutions(self.rows, _wrap(q[1:] - q[0]), self.n):
-                corrected = np.exp(1j * (self.all_bits @ x)) * perm
-                fid = abs(np.vdot(self.t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
-                if fid >= 1.0 - atol:
-                    return _labels(a_mask, x, self.n), float(fid)
-        return None
+            perm = amps[cand[:, None], self.index ^ a_mask]
+            q = np.angle(self.t_supp / perm[:, self.supp])
+            hit = np.zeros(cand.size, dtype=bool)
+            for consistent, x in _phase_solutions(self.rows, _wrap(q[:, 1:] - q[:, :1]).T,
+                                                  self.n):
+                live = np.flatnonzero(consistent & ~hit)
+                if not live.size:
+                    break
+                corrected = np.exp(1j * (x[live] @ self.all_bits.T)) * perm[live]
+                fid = (np.abs(np.vecdot(self.t, corrected)) ** 2
+                       / np.vecdot(corrected, corrected).real)
+                good = fid >= 1.0 - atol
+                rows = live[good]
+                for row, labels, f in zip(cand[rows], _labels(a_mask, x[rows]), fid[good]):
+                    found[row] = (labels, float(f))
+                hit[rows] = True
+            if hit.any():
+                unresolved[cand[hit]] = False
+                pending = np.flatnonzero(unresolved)
+        return found
 
 
 def solve_correction(residual: QubitState, target: QubitState,
@@ -314,31 +334,39 @@ def solve_correction(residual: QubitState, target: QubitState,
     """
     if residual.basis != target.basis:
         target = target.in_basis(residual.basis)
-    return _CorrectionPlan(target).solve(residual, atol)
+    return _CorrectionPlan(target).solve(residual.normalized().amps[None, :], atol)[0]
 
 
-def _labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
-    out = []
-    for k in range(n):
-        flip = (a_mask >> (n - 1 - k)) & 1
-        phi = _wrap(float(x[k]))
-        if abs(phi) <= 1e-7:
-            p = ""
-        elif abs(abs(phi) - math.pi) <= 1e-7:
-            p = "Z"
+def _labels(a_mask: int, x: np.ndarray) -> list[tuple[str, ...]]:
+    """Per-mode labels of the correction (a_mask, x) for each row of x."""
+    n = x.shape[1]
+    phi = _wrap(x)
+    ratio = phi / math.pi
+    # The smallest denominator d <= 12 that fits is the reduced one; d = 1
+    # is no phase (0/1) or Z (+-1/1), and d = 0 is no fit.
+    ds = np.arange(1, 13)
+    fits = np.abs(phi[..., None] - np.round(ratio[..., None] * ds) / ds * math.pi) <= 1e-7
+    den = np.where(fits.any(axis=-1), ds[fits.argmax(axis=-1)], 0)
+    num = np.round(ratio * den).astype(int)
+    flips = ["X" if (a_mask >> (n - 1 - k)) & 1 else "" for k in range(n)]
+
+    def label(flip: str, m: int, d: int, p: float) -> str:
+        if not d:
+            phase = f"P({p:.6f})"
+        elif d == 1:
+            phase = "Z" if m else ""
         else:
-            # The smallest denominator d <= 12 that fits is the reduced one.
-            ratio = phi / math.pi
-            frac = next((Fraction(round(ratio * d), d) for d in range(1, 13)
-                         if abs(phi - round(ratio * d) / d * math.pi) <= 1e-7), None)
-            if frac is not None:
-                p = f"P({frac}pi)" if frac != 1 else "Z"
-            else:
-                p = f"P({phi:.6f})"
-        f = "X" if flip else ""
-        label = (f + p) or "I"
-        out.append(label)
-    return tuple(out)
+            phase = f"P({Fraction(m, d)}pi)"
+        return flip + phase or "I"
+
+    memo: dict[tuple, tuple[str, ...]] = {}
+    out = []
+    for nums, dens, phis in zip(num.tolist(), den.tolist(), phi.tolist()):
+        key = (tuple(nums), tuple(dens))
+        if key not in memo or 0 in dens:
+            memo[key] = tuple(map(label, flips, nums, dens, phis))
+        out.append(memo[key])
+    return out
 
 
 def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
@@ -351,20 +379,22 @@ def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
     """
     plan = _CorrectionPlan(target)
     rails = _output_rails(circuit)
-
-    def one(oc: HeraldOutcome) -> HeraldOutcome:
-        qs = to_qubit_state(oc.residual, rails, rails="diagonal",
-                            basis=target.basis)
-        found = plan.solve(qs, atol)
-        if found is None:
-            return replace(oc, correction=None, corrected_fidelity=None,
-                           identity=False)
-        labels, fid = found
-        identity = all(l == "I" for l in labels)
-        return replace(oc, correction=labels, corrected_fidelity=fid,
-                       identity=identity)
-
-    return [one(oc) for oc in outcomes]
+    # Blocks of rows keep every outcomes x 2^n array under 2^16 entries.
+    block = max(1, (1 << 16) >> plan.n)
+    out = []
+    for start in range(0, len(outcomes), block):
+        chunk = outcomes[start:start + block]
+        amps = qubit_amplitudes([oc.residual for oc in chunk], rails)
+        if target.basis != "diagonal":  # the output rails encode the diagonal basis
+            amps = hadamard_all(amps)
+        norms = np.linalg.norm(amps, axis=1)
+        if not norms.all():
+            raise ValueError("zero state has no qubit reading")
+        for oc, sol in zip(chunk, plan.solve(amps / norms[:, None], atol)):
+            labels, fid = sol or (None, None)
+            out.append(HeraldOutcome(oc.pattern, oc.probability, oc.residual, labels, fid,
+                                     labels is not None and all(l == "I" for l in labels)))
+    return out
 
 
 def success_probability(outcomes: Iterable[HeraldOutcome],

@@ -1,7 +1,7 @@
 """Shared test utilities: creation-polynomial builders over circuit wires,
 the full-propagation reference for heralded outcomes, the naive references
-for ``fock.substitute`` and ``fock.relabel``, and small readers of states
-and circuits.
+for ``fock.substitute``, ``fock.relabel``, ``sculpting.hadamard_all`` and
+the feed-forward solver, and small readers of states and circuits.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from sculpt import fock, sim
 from sculpt.fock import FockState
@@ -206,3 +209,132 @@ def assert_same_outcomes(outcomes, reference) -> None:
     for oc, (sig, prob, residual) in zip(outcomes, reference):
         assert abs(oc.probability - prob) <= fock.ATOL, sig
         assert fock.allclose(oc.residual, residual), sig
+
+
+def naive_hadamard_all(vec) -> np.ndarray:
+    """Reference for ``sculpting.hadamard_all``: the per-qubit butterfly on
+    one 2^n vector, pair by pair."""
+    out = np.asarray(vec, dtype=complex).copy()
+    n = out.size
+    h = 1
+    r = 1.0 / math.sqrt(2.0)
+    while h < n:
+        for i in range(0, n, h * 2):
+            for j in range(i, i + h):
+                x, y = out[j], out[j + h]
+                out[j], out[j + h] = (x + y) * r, (x - y) * r
+        h *= 2
+    return out
+
+
+def naive_phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
+    """Reference for ``sim._phase_solutions``, one right-hand side at a time:
+    solutions x of sum_k rows[i][k] x_k = angles[i] (mod 2pi), free vars 0.
+
+    Integer coefficient matrix; eliminates with unit pivots, branches on
+    single-variable rows with larger coefficients, rejects anything else.
+    Yields candidate x vectors (possibly none).
+    """
+    eqs = [(r.astype(float).copy(), float(a)) for r, a in zip(rows, angles)]
+    pivots: list[tuple[int, np.ndarray, float]] = []
+    while True:
+        pick = None
+        for i, (r, a) in enumerate(eqs):
+            units = np.where(np.abs(np.abs(r) - 1.0) < 1e-9)[0]
+            if units.size:
+                pick = (i, int(units[0]))
+                break
+        if pick is None:
+            break
+        i, k = pick
+        r, a = eqs.pop(i)
+        if r[k] < 0:
+            r, a = -r, -a
+        pivots.append((k, r, a))
+        for j, (rj, aj) in enumerate(eqs):
+            m = rj[k]
+            if m:
+                eqs[j] = (rj - m * r, aj - m * a)
+
+    branch_vars: list[tuple[int, int, float]] = []
+    for r, a in eqs:
+        nz = np.where(np.abs(r) > 1e-9)[0]
+        if nz.size == 0:
+            if abs(sim._wrap(a)) > sim._ANGLE_TOL:
+                return
+            continue
+        if nz.size == 1:
+            d = int(round(abs(r[nz[0]])))
+            if d == 0 or abs(r[nz[0]] - round(r[nz[0]])) > 1e-9 or d > 6:
+                return
+            branch_vars.append((int(nz[0]), d, a / r[nz[0]]))
+        else:
+            return
+
+    def assemble(choices: list[int]):
+        x = np.zeros(n)
+        for (k, d, base), c in zip(branch_vars, choices):
+            x[k] = base + 2.0 * math.pi * c / d
+        for k, r, a in reversed(pivots):
+            x[k] = a - (float(r @ x) - r[k] * x[k])
+        return x
+
+    def rec(i: int, choices: list[int]):
+        if i == len(branch_vars):
+            yield assemble(choices)
+            return
+        for c in range(branch_vars[i][1]):
+            yield from rec(i + 1, choices + [c])
+
+    yield from rec(0, [])
+
+
+def naive_labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
+    """Reference for ``sim._labels``, one correction at a time."""
+    out = []
+    for k in range(n):
+        flip = (a_mask >> (n - 1 - k)) & 1
+        phi = sim._wrap(float(x[k]))
+        if abs(phi) <= 1e-7:
+            p = ""
+        elif abs(abs(phi) - math.pi) <= 1e-7:
+            p = "Z"
+        else:
+            # The smallest denominator d <= 12 that fits is the reduced one.
+            ratio = phi / math.pi
+            frac = next((Fraction(round(ratio * d), d) for d in range(1, 13)
+                         if abs(phi - round(ratio * d) / d * math.pi) <= 1e-7), None)
+            if frac is not None:
+                p = f"P({frac}pi)" if frac != 1 else "Z"
+            else:
+                p = f"P({phi:.6f})"
+        f = "X" if flip else ""
+        label = (f + p) or "I"
+        out.append(label)
+    return tuple(out)
+
+
+def naive_solve_correction(residual, target, atol: float = 1e-9):
+    """Reference for ``sim.solve_correction`` and ``sim.classify_feedforward``:
+    one residual at a time, one bit-flip mask at a time, with the scalar
+    phase solver and label formatter above."""
+    if residual.basis != target.basis:
+        target = target.in_basis(residual.basis)
+    plan = sim._CorrectionPlan(target)
+    r = residual.normalized().amps
+    if r.size != plan.t.size:
+        raise ValueError("qubit counts differ")
+    for a_mask in range(2 ** plan.n):
+        perm = r[plan.index ^ a_mask]
+        perm_supp = perm[plan.supp]
+        if np.any(np.abs(np.abs(perm_supp) - plan.abs_t_supp) > 1e-7):
+            continue
+        if np.any(np.abs(perm[plan.off_supp]) > 1e-7):
+            continue
+        q = np.angle(plan.t_supp / perm_supp)
+        for x in naive_phase_solutions(plan.rows, sim._wrap(q[1:] - q[0]), plan.n):
+            corrected = np.exp(1j * (plan.all_bits @ x)) * perm
+            fid = abs(np.vdot(plan.t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
+            if fid >= 1.0 - atol:
+                return naive_labels(a_mask, x, plan.n), float(fid)
+    return None

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sculpt import analysis, fock
+from sculpt import analysis, circuit, compiler, fock, sim
 from sculpt.analysis import (fidelity, genuine_entanglement,
                              oracle_qubit_state, schmidt_rank, target_state,
                              verify_scheme)
@@ -142,6 +142,20 @@ def test_verify_scheme_runs_the_oracle_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "apply_sculpting", counting)
+    rep = verify_scheme(ghz(3), "ghz", 3)
+    assert abs(rep.p_with_ff - 1 / 32) < 1e-9
+    assert len(calls) == 1
+
+
+def test_verify_scheme_validates_the_circuit_once(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return circuit.validate(c)
+
+    monkeypatch.setattr(compiler, "validate", counting)
+    monkeypatch.setattr(sim, "validate", counting)
     rep = verify_scheme(ghz(3), "ghz", 3)
     assert abs(rep.p_with_ff - 1 / 32) < 1e-9
     assert len(calls) == 1

@@ -336,10 +336,47 @@ def test_simulate_pbs_repeating_a_wire_exits_2(tmp_path, capsys):
      "detector_groups[0].count"),
     (lambda doc: doc["outputs"].__setitem__(0, True), "outputs"),
     (lambda doc: _first(doc, "source").update(photons=True), "photon count True"),
-], ids=["wire-id", "group-id", "group-wire", "count", "output-wire", "photons"])
+    (lambda doc: _first(doc, "source").update(wire=False), "wire: False"),
+    (lambda doc: _first(doc, "hwp").update(v=True), "v: True"),
+    (lambda doc: _first(doc, "hwp").update(h=1.5), "h: 1.5"),
+    (lambda doc: _first(doc, "pbs").update(b_v=True), "b_v: True"),
+    (lambda doc: _first(doc, "pbs").update(a_h=1.5), "a_h: 1.5"),
+    (lambda doc: _first(doc, "swap")["mapping"][0].__setitem__(1, True), "mapping: True"),
+    (lambda doc: _first(doc, "swap")["mapping"][0].__setitem__(0, 1.5), "mapping: 1.5"),
+    (lambda doc: _first(doc, "merge")["mapping"].append([1.5, 1]), "mapping: 1.5"),
+], ids=["wire-id", "group-id", "group-wire", "count", "output-wire", "photons",
+        "source-wire", "hwp-true", "hwp-fraction", "pbs-true", "pbs-fraction",
+        "swap-true", "swap-fraction", "merge-fraction"])
 def test_simulate_boolean_integer_field_exits_2(tmp_path, capsys, mutate, fragment):
     code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
     assert_one_error(code, out, err, fragment)
+
+
+@pytest.mark.parametrize("kind", ["bs", "swap"])
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_simulate_non_integer_dual_rail_wire_exits_2(tmp_path, capsys, kind, value):
+    def mutate(doc):
+        el = _first(doc, kind)
+        (el["ports"] if kind == "bs" else el["mapping"])[-1][-1] = value
+    code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, f"malformed {kind} element", f"{value!r}")
+
+
+def test_simulate_herald_leaving_photons_off_the_outputs_exits_2(tmp_path, capsys):
+    # without its detector group, the second subtractor's tap-off wires
+    # keep their photons
+    def mutate(doc):
+        del doc["detector_groups"][1]
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "non-output wires [10, 15]")
+
+
+def test_simulate_residual_not_one_photon_per_mode_exits_2(tmp_path, capsys):
+    def mutate(doc):
+        doc["elements"].append({"kind": "source", "stage": "source",
+                                "wire": doc["outputs"][0], "photons": 1})
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err, "not one boson per mode")
 
 
 def test_report_max_n_bounds_w_too(capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import total_photons
+from helpers import naive_hadamard_all, total_photons
 from sculpt import bigraph, fock
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
 from sculpt.fock import FockState, WireTable
@@ -189,6 +189,17 @@ def test_hadamard_involution():
     rng = np.random.default_rng(5)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     assert np.allclose(hadamard_all(hadamard_all(v)), v)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_hadamard_matches_the_pairwise_reference_row_by_row(n):
+    # a stack of rows is transformed row by row, with the same float operations
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
+    out = hadamard_all(rows)
+    for row, got in zip(rows, out):
+        assert np.array_equal(got, naive_hadamard_all(row))
+    assert np.array_equal(hadamard_all(rows[0]), naive_hadamard_all(rows[0]))
 
 
 def test_qubit_state_validation():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (assert_same_outcomes, reference_outcomes,
-                     signature_distribution, total_photons)
+from helpers import (assert_same_outcomes, naive_solve_correction,
+                     reference_outcomes, signature_distribution, total_photons)
 from sculpt import bigraph, fock, sim
 from sculpt.bigraph import ghz, w
 from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
@@ -16,7 +16,7 @@ from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 from sculpt.fock import FockState
 from sculpt.analysis import oracle_qubit_state, target_state
-from sculpt.sculpting import QubitState
+from sculpt.sculpting import QubitState, hadamard_all, to_qubit_state
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -349,9 +349,26 @@ def test_classify_matches_per_outcome_solve_correction(kind, n, dual_rail):
     assert len(classified) == len(outcomes)
     for oc, cl in zip(outcomes, classified):
         qs = sim.residual_qubits(oc, c, basis=target.basis)
-        labels, fid = sim.solve_correction(qs, target, fock.ATOL)
+        labels, fid = naive_solve_correction(qs, target, fock.ATOL)
         assert cl.correction == labels, oc.pattern
         assert cl.identity == all(l == "I" for l in labels)
+        assert abs(cl.corrected_fidelity - fid) <= fock.ATOL
+
+
+@pytest.mark.parametrize("kind,n", [("w", 7), ("ghz", 10)])
+def test_classify_in_row_blocks_matches_the_reference(kind, n):
+    # 2^16 >> n rows per block: W 7 takes two blocks, the last one partial,
+    # and GHZ 10 sixteen
+    g = bigraph.preset(kind, n)
+    c = compile_graph(g)
+    target = oracle_qubit_state(g)
+    outcomes = sim.run_heralded(c)
+    classified = sim.classify_feedforward(outcomes, target, c)
+    assert len(classified) == len(outcomes) > (1 << 16) >> n
+    for oc, cl in zip(outcomes, classified):
+        assert cl.pattern == oc.pattern
+        labels, fid = naive_solve_correction(sim.residual_qubits(oc, c), target, fock.ATOL)
+        assert cl.correction == labels, oc.pattern
         assert abs(cl.corrected_fidelity - fid) <= fock.ATOL
 
 
@@ -387,10 +404,16 @@ def test_solve_correction_undoes_a_random_local_correction(pair):
     assert found[1] >= 1 - fock.ATOL
 
 
+def _phase_solutions(rows, angles, n):
+    """sim._phase_solutions on a batch of one right-hand side."""
+    batch = np.array(angles, dtype=float).reshape(len(rows), 1)
+    return [x[0] for ok, x in sim._phase_solutions(rows, batch, n) if ok[0]]
+
+
 def test_phase_solver_unit_pivots():
     rows = [np.array([1, 1, 0]), np.array([0, 1, 1])]
     angles = [0.5, -0.25]
-    sols = list(sim._phase_solutions(rows, angles, 3))
+    sols = _phase_solutions(rows, angles, 3)
     assert sols
     for x in sols:
         assert abs((rows[0] @ x) - 0.5) < 1e-9
@@ -402,7 +425,7 @@ def test_phase_solver_negates_a_negative_pivot_with_its_angle():
     rows = [np.array([1, 1, 0]), np.array([1, 0, 1]), np.array([0, 1, 1])]
     truth = np.array([0.25, 1.0, -0.5]) * math.pi
     angles = [sim._wrap(float(r @ truth)) for r in rows]
-    sols = list(sim._phase_solutions(rows, angles, 3))
+    sols = _phase_solutions(rows, angles, 3)
     assert sols
     for x in sols:
         for r, a in zip(rows, angles):
@@ -411,7 +434,7 @@ def test_phase_solver_negates_a_negative_pivot_with_its_angle():
 
 def test_phase_solver_branches_on_scaled_pivot():
     # 2x = theta (mod 2pi) has two solutions per period
-    sols = list(sim._phase_solutions([np.array([2])], [1.0], 1))
+    sols = _phase_solutions([np.array([2])], [1.0], 1)
     vals = sorted(float(x[0]) % (2 * math.pi) for x in sols)
     assert len(vals) == 2
     assert abs(vals[0] - 0.5) < 1e-9
@@ -421,4 +444,109 @@ def test_phase_solver_branches_on_scaled_pivot():
 def test_phase_solver_detects_inconsistency():
     rows = [np.array([1, -1]), np.array([1, -1])]
     angles = [0.3, 1.1]
-    assert list(sim._phase_solutions(rows, angles, 2)) == []
+    assert _phase_solutions(rows, angles, 2) == []
+
+
+def test_phase_solver_keeps_each_systems_consistency_apart():
+    # x0 - x1 appears twice; only the second system's angles agree
+    rows = [np.array([1, -1]), np.array([1, -1])]
+    angles = np.array([[0.3, 0.7], [1.1, 0.7]])
+    sols = list(sim._phase_solutions(rows, angles, 2))
+    assert len(sols) == 1
+    ok, x = sols[0]
+    assert ok.tolist() == [False, True]
+    assert abs(x[1, 0] - x[1, 1] - 0.7) < 1e-12
+
+
+def _qubit_rails_circuit(n):
+    """A circuit whose outputs are n polarization modes and nothing else."""
+    wires = [Wire(2 * j + b, f"m{j}", "HV"[b]) for j in range(n) for b in (0, 1)]
+    return Circuit(wires, [], [], [w.id for w in wires], [f"m{j}" for j in range(n)])
+
+
+def _rail_state(vec, n):
+    """The one-photon-per-mode Fock state whose diagonal-rail reading is vec."""
+    terms = {}
+    for idx, amp in enumerate(vec):
+        bits = [(idx >> (n - 1 - j)) & 1 for j in range(n)]
+        terms[tuple((2 * j + b, 1) for j, b in enumerate(bits))] = amp
+    return FockState(terms)
+
+
+@st.composite
+def residual_batches(draw):
+    """A random target on 1-4 qubits, in either basis, and 1-12 residuals:
+    each is the target under a random local correction (any bit-flip mask,
+    phases in multiples of pi/4, any global phase), such a residual with a
+    1e-6 amplitude leaked off the target's support, the target's magnitudes
+    under a bit flip with random phases, or random amplitudes."""
+    n = draw(st.integers(1, 4))
+    size = 2 ** n
+    mag = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+    angle = st.floats(0.0, 2 * math.pi)
+    mags = np.array(draw(st.lists(mag, min_size=size, max_size=size)))
+    assume(mags.any())
+    t = mags * np.exp(1j * np.array(draw(st.lists(angle, min_size=size, max_size=size))))
+    t /= np.linalg.norm(t)
+    basis = draw(st.sampled_from(["diagonal", "computational"]))
+    bits = (np.arange(size)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = []
+    kinds = st.sampled_from(["corrected", "leaky", "scrambled", "random"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
+        a_mask = draw(st.integers(0, size - 1))
+        phases = np.exp(1j * np.array(draw(st.lists(angle, min_size=size, max_size=size))))
+        r = np.empty(size, dtype=complex)
+        if kind in ("corrected", "leaky"):
+            # corrected[b] = e^{i b.x} r[b ^ a] must equal t[b]
+            x = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))) * math.pi / 4
+            r[np.arange(size) ^ a_mask] = t * np.exp(-1j * (bits @ x)) * phases[0]
+            if kind == "leaky":
+                off = np.flatnonzero(mags == 0)
+                if off.size:
+                    r[draw(st.sampled_from(off.tolist())) ^ a_mask] = 1e-6 * phases[1]
+        elif kind == "scrambled":
+            r[np.arange(size) ^ a_mask] = np.abs(t) * phases
+        else:
+            r = np.array(draw(st.lists(mag, min_size=size, max_size=size))) * phases
+        assume(np.linalg.norm(r) > 1e-3)
+        rows.append(r)
+    return QubitState(t, basis), rows
+
+
+@given(residual_batches())
+@settings(max_examples=200, deadline=None)
+def test_classify_batch_matches_the_per_outcome_reference(batch):
+    target, rows = batch
+    n = target.n_qubits
+    c = _qubit_rails_circuit(n)
+    # the residual is stored on the rails, which encode the diagonal basis
+    on_rails = [hadamard_all(r) if target.basis == "computational" else r for r in rows]
+    outcomes = [sim.HeraldOutcome(((100 + i, 1),), 1.0, _rail_state(v, n))
+                for i, v in enumerate(on_rails)]
+    classified = sim.classify_feedforward(outcomes, target, c, fock.ATOL)
+    for oc, cl in zip(outcomes, classified):
+        qs = to_qubit_state(oc.residual, sim._output_rails(c), rails="diagonal",
+                            basis=target.basis)
+        found = naive_solve_correction(qs, target, fock.ATOL)
+        if found is None:
+            assert cl.correction is None and cl.corrected_fidelity is None
+            continue
+        labels, fid = found
+        assert cl.correction == labels
+        assert cl.identity == all(l == "I" for l in labels)
+        assert abs(cl.corrected_fidelity - fid) <= fock.ATOL
+
+
+@pytest.mark.parametrize("terms,message", [
+    ({((0, 1), (2, 1)): 1.0, ((1, 1), (5, 1)): 1.0}, "outside the qubit rails"),
+    ({((0, 2),): 1.0}, "not one boson per mode"),
+    ({((0, 1), (1, 1)): 1.0}, "not one boson per mode"),
+    ({((0, 1),): 1.0}, "not one boson per mode"),
+], ids=["off-rails", "bunched", "both-rails", "empty-mode"])
+def test_classify_rejects_a_residual_that_is_not_one_photon_per_mode(terms, message):
+    c = _qubit_rails_circuit(2)
+    good = sim.HeraldOutcome(((9, 1),), 0.5, _rail_state(target_state("ghz", 2).amps, 2))
+    bad = sim.HeraldOutcome(((9, 2),), 0.5, FockState(terms))
+    with pytest.raises(ValueError, match=message):
+        sim.classify_feedforward([good, bad], target_state("ghz", 2), c)
+
