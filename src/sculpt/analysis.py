@@ -18,8 +18,8 @@ import numpy as np
 from . import fock, sim
 from .bigraph import SculptingBigraph, is_epm
 from .compiler import compile_graph
-from .sculpting import (QubitState, apply_sculpting, no_bunching_check,
-                        oracle_wires, to_qubit_state)
+from .sculpting import (OracleWires, QubitState, apply_sculpting, hadamard_all,
+                        no_bunching_check, oracle_wires, to_qubit_state)
 
 SCHMIDT_CUTOFF = 1e-9
 
@@ -36,21 +36,21 @@ def target_state(kind: str, n: int) -> QubitState:
             raise ValueError("ghz target needs n >= 2")
         vec = np.zeros(2 ** n, dtype=complex)
         vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
-        return QubitState(vec, "diagonal")
+        return QubitState(vec)
     if kind == "w":
         if n < 2:
             raise ValueError("w target needs n >= 2")
         vec = np.zeros(2 ** n, dtype=complex)
         for k in range(n):
             vec[1 << (n - 1 - k)] = 1.0 / math.sqrt(n)
-        return QubitState(vec, "diagonal")
+        return QubitState(vec)
     if kind == "type5":
         if n != 3:
             raise ValueError("the type5 target is defined for n = 3 only")
         vec = np.zeros(8, dtype=complex)
         for idx in (0b000, 0b100, 0b101, 0b110, 0b111):
             vec[idx] = 1.0 / math.sqrt(5.0)
-        return QubitState(vec, "diagonal")
+        return QubitState(vec)
     raise ValueError(f"unknown target kind {kind!r}")
 
 
@@ -58,8 +58,6 @@ def fidelity(a: QubitState, b: QubitState) -> float:
     """|<a|b>|^2 on normalized vectors; invariant under global phases."""
     if a.amps.size != b.amps.size:
         raise ValueError("qubit state dimensions differ")
-    if a.basis != b.basis:
-        b = b.in_basis(a.basis)
     av = a.normalized().amps
     bv = b.normalized().amps
     return float(abs(np.vdot(av, bv)) ** 2)
@@ -127,17 +125,17 @@ class SchemeReport:
 
 
 def _read_qubits(g: SculptingBigraph, state: fock.FockState,
-                 table: fock.WireTable, basis: str) -> QubitState:
-    """Qubit reading of an oracle state on the main circles' wires."""
-    rails = [(table.id_of((str(j), 0)), table.id_of((str(j), 1)))
-             for j in range(1, g.n_main + 1)]
-    return to_qubit_state(state, rails, rails="computational", basis=basis)
+                 table: OracleWires) -> QubitState:
+    """Qubit reading of an oracle state on the main circles' wires, whose
+    levels 0/1 are the computational basis."""
+    rails = [(table[(label, 0)], table[(label, 1)]) for label in g.main_labels()]
+    return QubitState(hadamard_all(to_qubit_state(state, rails).amps))
 
 
-def oracle_qubit_state(g: SculptingBigraph, basis: str = "diagonal") -> QubitState:
-    """Diagonal-basis qubit reading of the sculpting oracle's final state."""
+def oracle_qubit_state(g: SculptingBigraph) -> QubitState:
+    """Qubit reading of the sculpting oracle's final state."""
     table = oracle_wires(g)
-    return _read_qubits(g, apply_sculpting(g, table=table), table, basis)
+    return _read_qubits(g, apply_sculpting(g, table=table), table)
 
 
 def verify_scheme(g: SculptingBigraph, kind: str, n: int,
@@ -149,13 +147,13 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int,
     table = oracle_wires(g)
     final = apply_sculpting(g, table=table)
     nb = no_bunching_check(final, g, table=table)
-    oracle_q = _read_qubits(g, final, table, "diagonal")
+    circuit = compile_graph(g)  # validates; a non-EPM graph raises here
+    oracle_q = _read_qubits(g, final, table)
     target = target_state(kind, n)
     fid_ot = fidelity(oracle_q, target)
     if fid_ot < 1.0 - atol:
         notes.append("oracle state does not match the named target")
 
-    circuit = compile_graph(g)  # validates
     outcomes = sim.run_heralded(circuit, check=False)
     classified = sim.classify_feedforward(outcomes, oracle_q, circuit, atol=atol)
     p_ff = sim.success_probability(classified, "with_ff")

@@ -426,10 +426,17 @@ def serialize_graph(g: SculptingBigraph) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, float) or _is_int(x)
+
+
 def _complex_field(obj, key: str, where: str) -> complex:
     val = obj.get(key)
-    if (not isinstance(val, (list, tuple)) or len(val) != 2
-            or not all(isinstance(x, (int, float)) for x in val)):
+    if not isinstance(val, (list, tuple)) or len(val) != 2 or not all(map(_is_real, val)):
         raise GraphSchemaError(f"{where}.{key}: expected [re, im]")
     return complex(val[0], val[1])
 
@@ -442,7 +449,7 @@ def parse_graph(text: str) -> SculptingBigraph:
     if not isinstance(doc, dict):
         raise GraphSchemaError("top level: expected an object")
     n_main = doc.get("n_main")
-    if not isinstance(n_main, int) or n_main < 0:
+    if not _is_int(n_main) or n_main < 0:
         raise GraphSchemaError("n_main: expected a non-negative integer")
     ancillas = doc.get("ancillas", [])
     if not isinstance(ancillas, list) or not all(isinstance(a, str) for a in ancillas):
@@ -451,10 +458,14 @@ def parse_graph(text: str) -> SculptingBigraph:
     if not isinstance(dots, list):
         raise GraphSchemaError("dots: expected a list")
     edges: list[Edge] = []
+    ids: set[int] = set()
     for i, dot in enumerate(dots):
         where = f"dots[{i}]"
-        if not isinstance(dot, dict) or not isinstance(dot.get("id"), int):
+        if not isinstance(dot, dict) or not _is_int(dot.get("id")):
             raise GraphSchemaError(f"{where}: expected an object with integer id")
+        if dot["id"] in ids:
+            raise GraphSchemaError(f"{where}.id: dot {dot['id']} is declared twice")
+        ids.add(dot["id"])
         legs = dot.get("legs")
         if not isinstance(legs, list) or not legs:
             raise GraphSchemaError(f"{where}.legs: expected a non-empty list")
@@ -464,7 +475,7 @@ def parse_graph(text: str) -> SculptingBigraph:
             if not isinstance(leg, dict) or not isinstance(leg.get("mode"), str):
                 raise GraphSchemaError(f"{lwhere}: expected an object with a mode label")
             sname = leg.get("state")
-            if sname in _NAMED_STATES:
+            if isinstance(sname, str) and sname in _NAMED_STATES:
                 state = InternalState.named(sname)
             elif sname == "custom":
                 state = InternalState(_complex_field(leg, "alpha", lwhere),
@@ -474,17 +485,19 @@ def parse_graph(text: str) -> SculptingBigraph:
             amp = _complex_field(leg, "amplitude", lwhere)
             if "phase" in leg:
                 ph = leg["phase"]
-                if not isinstance(ph, (int, float)):
+                if not _is_real(ph):
                     raise GraphSchemaError(f"{lwhere}.phase: expected radians")
                 amp *= cmath.exp(1j * ph)
             total += abs(amp) ** 2
             edges.append(Edge(leg["mode"], dot["id"], amp, state))
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:  # also rejects nan
             raise GraphSchemaError(
                 f"{where}: per-dot normalization violated (sum |amp|^2 = {total:.12g})")
-    g = SculptingBigraph(n_main, tuple(ancillas), tuple(edges),
-                         name=doc.get("name", ""))
-    return g
+    try:
+        return SculptingBigraph(n_main, tuple(ancillas), tuple(edges),
+                                name=doc.get("name", ""))
+    except ValueError as exc:  # unknown or duplicate circle labels
+        raise GraphSchemaError(str(exc)) from None
 
 
 _DOT_COLORS = {"0": "black", "1": "gray40", "+": "red", "-": "blue", "custom": "purple"}

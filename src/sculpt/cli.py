@@ -70,9 +70,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _atol(args, conf: dict) -> float:
-    if getattr(args, "atol", None) is not None:
-        return args.atol
-    return conf.get("atol", 1e-9)
+    """--atol, else the config's atol, else 1e-9; finite, in [0, 1)."""
+    atol = args.atol if args.atol is not None else conf.get("atol", 1e-9)
+    if not 0.0 <= atol < 1.0:  # also rejects nan
+        raise CliError(f"atol {atol} is not a tolerance in [0, 1)")
+    return atol
 
 
 def _target(kind: str, n: int) -> analysis.QubitState:
@@ -130,7 +132,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    conf = _load_config(args.config)
+    atol = _atol(args, _load_config(args.config))
     try:
         c = circuit_mod.parse_circuit(_read(args.circuit))
     except circuit_mod.CircuitSchemaError as exc:
@@ -151,8 +153,7 @@ def cmd_simulate(args) -> int:
     try:
         outcomes = sim.run_heralded(c, check=False)
         if target is not None:
-            outcomes = sim.classify_feedforward(outcomes, target, c,
-                                                atol=_atol(args, conf))
+            outcomes = sim.classify_feedforward(outcomes, target, c, atol=atol)
     except (sim.SimulationError, ValueError) as exc:
         # a valid circuit that heralds photons off the outputs, or leaves
         # residuals that are not one photon per output mode
@@ -178,22 +179,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    conf = _load_config(args.config)
+    atol = _atol(args, _load_config(args.config))
     g = _parse_graph_file(args.graph)
     if args.n != g.n_main:
         raise CliError(f"--n {args.n} does not match the graph's "
                        f"{g.n_main} main circles")
     _target(args.target, args.n)
     try:
-        report = analysis.verify_scheme(g, args.target, args.n,
-                                        atol=_atol(args, conf))
+        report = analysis.verify_scheme(g, args.target, args.n, atol=atol)
     except compiler.CompileError as exc:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:
+        # a compiled scheme whose oracle state has no qubit reading
+        raise CliError(f"{args.graph}: {exc}", EXIT_MISMATCH) from None
     for line in report.lines():
         print(line)
-    atol = _atol(args, conf)
     bad = (not report.epm or not report.no_bunching or not report.genuine
            or report.oracle_target_fidelity < 1.0 - atol
            or report.n_correctable == 0
@@ -217,8 +219,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_report(args) -> int:
-    conf = _load_config(args.config)
-    atol = _atol(args, conf)
+    atol = _atol(args, _load_config(args.config))
     jobs: list[tuple[str, int]] = []
     if args.all:
         jobs += [("ghz", n) for n in range(2, args.max_n + 1)]

@@ -25,38 +25,6 @@ DROP_TOL = 1e-12
 ATOL = 1e-9
 
 
-class WireTable:
-    """Deterministic bijection between opaque labels and dense wire ids.
-
-    Ids are assigned in interning order, so constructors that intern their
-    wires in a fixed order produce reproducible universes.
-    """
-
-    def __init__(self) -> None:
-        self._by_label: dict = {}
-        self._by_id: list = []
-
-    def intern(self, label) -> WireId:
-        wid = self._by_label.get(label)
-        if wid is None:
-            wid = len(self._by_id)
-            self._by_label[label] = wid
-            self._by_id.append(label)
-        return wid
-
-    def id_of(self, label) -> WireId:
-        return self._by_label[label]
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, label) -> bool:
-        return label in self._by_label
-
-    def labels(self) -> list:
-        return list(self._by_id)
-
-
 class FockState:
     """Sparse superposition of boson occupation vectors.
 

@@ -7,7 +7,8 @@ works directly in second-quantized Fock space; it never touches the optical
 circuit layer, which is what makes it usable as a cross-check.
 
 Wire convention: every spatial mode gets two wires, one per internal level
-(0 and 1); ancilla photons start on the level-0 wire.
+(0 and 1), numbered by :func:`oracle_wires`; ancilla photons start on the
+level-0 wire.
 """
 
 from __future__ import annotations
@@ -20,93 +21,73 @@ import numpy as np
 
 from . import fock
 from .bigraph import CircleKind, SculptingBigraph, is_epm, perfect_matchings, subtraction_operators
-from .fock import FockState, WireId, WireTable
+from .fock import FockState, WireId
+
+# (circle label, internal level) -> wire id
+OracleWires = dict[tuple[str, int], WireId]
 
 
-def oracle_wires(g: SculptingBigraph) -> WireTable:
-    """Deterministic wire table: (mode label, level) for every circle."""
-    table = WireTable()
-    for c in g.circles():
-        table.intern((c.label, 0))
-        table.intern((c.label, 1))
-    return table
+def oracle_wires(g: SculptingBigraph) -> OracleWires:
+    """Wire ids of the oracle: (circle label, level) -> id, two consecutive
+    ids per circle in circle order."""
+    return {(c.label, level): 2 * i + level
+            for i, c in enumerate(g.circles()) for level in (0, 1)}
 
 
-def initial_state(n: int, k: int = 0, table: WireTable | None = None,
-                  ancillas: Sequence[str] | None = None) -> FockState:
+def initial_state(g: SculptingBigraph, table: OracleWires) -> FockState:
     """Product state of 2n+k bosons: one (0,1) pair per main mode, one
     level-0 boson per ancilla mode."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 main modes and k >= 0 ancillas")
-    if ancillas is None:
-        ancillas = [f"anc{i}" for i in range(1, k + 1)]
-    if len(ancillas) != k:
-        raise ValueError("ancilla label count does not match k")
-    if table is None:
-        table = WireTable()
     state = FockState.vacuum()
-    for j in range(1, n + 1):
-        state = fock.create(state, table.intern((str(j), 0)))
-        state = fock.create(state, table.intern((str(j), 1)))
-    for a in ancillas:
-        table.intern((a, 0))
-        table.intern((a, 1))
-        state = fock.create(state, table.id_of((a, 0)))
+    for label in g.main_labels():
+        state = fock.create(fock.create(state, table[(label, 0)]), table[(label, 1)])
+    for a in g.ancillas:
+        state = fock.create(state, table[(a, 0)])
     return state
 
 
-def _dot_wire_legs(g: SculptingBigraph, table: WireTable, dot: int) -> list[tuple[WireId, complex]]:
+def _dot_wire_legs(g: SculptingBigraph, table: OracleWires,
+                   dot: int) -> list[tuple[WireId, complex]]:
     legs: list[tuple[WireId, complex]] = []
     for e in g.edges_of_dot(dot):
         c0, c1 = e.state.annihilation_coeffs()
-        legs.append((table.id_of((e.mode, 0)), e.amplitude * c0))
-        legs.append((table.id_of((e.mode, 1)), e.amplitude * c1))
+        legs.append((table[(e.mode, 0)], e.amplitude * c0))
+        legs.append((table[(e.mode, 1)], e.amplitude * c1))
     return legs
 
 
-def apply_sculpting(g: SculptingBigraph, table: WireTable | None = None,
-                    dot_order: Sequence[int] | None = None) -> FockState:
-    """Sequentially apply every dot's subtraction operator to the initial
-    state and return the unnormalized final state.
+def apply_sculpting(g: SculptingBigraph, table: OracleWires | None = None) -> FockState:
+    """Apply every dot's subtraction operator, in dot id order, to the
+    initial state and return the unnormalized final state.
 
-    Works on arbitrary (including non-EPM) graphs.  The dots commute, so
-    ``dot_order`` only exists to let tests demonstrate that.
+    Works on arbitrary (including non-EPM) graphs.
     """
     if table is None:
         table = oracle_wires(g)
-    else:
-        for c in g.circles():
-            table.intern((c.label, 0))
-            table.intern((c.label, 1))
     subtraction_operators(g)  # normalization check
-    state = initial_state(g.n_main, g.n_ancilla, table=table, ancillas=list(g.ancillas))
-    order = list(dot_order) if dot_order is not None else g.dot_ids()
-    if sorted(order) != g.dot_ids():
-        raise ValueError("dot_order must be a permutation of the graph's dots")
-    for dot in order:
+    state = initial_state(g, table)
+    for dot in g.dot_ids():
         state = fock.apply_operator(state, _dot_wire_legs(g, table, dot))
     return state
 
 
 def no_bunching_check(state: FockState, g: SculptingBigraph,
-                      table: WireTable | None = None) -> bool:
+                      table: OracleWires | None = None) -> bool:
     """True iff every term keeps exactly one boson per main mode (summed over
     internal levels) and none in ancilla modes.  Vacuously true for zero."""
     if table is None:
         table = oracle_wires(g)
     for occ, _ in state.terms():
         counts = dict(occ)
-        for j in range(1, g.n_main + 1):
-            tot = counts.get(table.id_of((str(j), 0)), 0) + counts.get(table.id_of((str(j), 1)), 0)
-            if tot != 1:
+        for label in g.main_labels():
+            if counts.get(table[(label, 0)], 0) + counts.get(table[(label, 1)], 0) != 1:
                 return False
         for a in g.ancillas:
-            if counts.get(table.id_of((a, 0)), 0) or counts.get(table.id_of((a, 1)), 0):
+            if counts.get(table[(a, 0)], 0) or counts.get(table[(a, 1)], 0):
                 return False
     return True
 
 
-def pm_predict(g: SculptingBigraph, table: WireTable | None = None) -> FockState:
+def pm_predict(g: SculptingBigraph, table: OracleWires | None = None) -> FockState:
     """Final state predicted from the perfect matchings alone.
 
     Each matching contributes one product term: a main-mode edge with
@@ -128,8 +109,8 @@ def pm_predict(g: SculptingBigraph, table: WireTable | None = None) -> FockState
             e = g.edges[idx]
             if kinds[e.mode] is CircleKind.MAIN:
                 # a_psi a0† a1†|vac> = conj(alpha) a1† + conj(beta) a0†
-                w0 = table.id_of((e.mode, 0))
-                w1 = table.id_of((e.mode, 1))
+                w0 = table[(e.mode, 0)]
+                w1 = table[(e.mode, 1)]
                 leg = fock.add_scaled(
                     fock.scale(fock.create(term, w0), complex(e.state.beta).conjugate()),
                     complex(e.state.alpha).conjugate(),
@@ -148,22 +129,14 @@ def pm_predict(g: SculptingBigraph, table: WireTable | None = None) -> FockState
 
 @dataclass
 class QubitState:
-    """Dense 2^n amplitude vector extracted from one-boson-per-mode terms.
-
-    ``basis`` is "computational" (bit 1 = level/rail 1) or "diagonal"
-    (bit 1 = the minus state); ``weight`` is the squared norm the state
-    carried before normalization (sub-normalized inputs come from
-    post-selected branches).
-    """
+    """Dense 2^n amplitude vector in the per-mode diagonal basis: bit 1 of
+    an index means that mode carries the minus state; mode 0 is the most
+    significant bit."""
 
     amps: np.ndarray
-    basis: str = "diagonal"
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.amps = np.asarray(self.amps, dtype=complex)
-        if self.basis not in ("computational", "diagonal"):
-            raise ValueError(f"unknown basis {self.basis!r}")
         n = self.amps.size
         if n == 0 or n & (n - 1):
             raise ValueError("amplitude vector length must be a power of two")
@@ -176,12 +149,7 @@ class QubitState:
         nrm = float(np.linalg.norm(self.amps))
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
-        return QubitState(self.amps / nrm, self.basis, self.weight)
-
-    def in_basis(self, basis: str) -> "QubitState":
-        if basis == self.basis:
-            return QubitState(self.amps.copy(), self.basis, self.weight)
-        return QubitState(hadamard_all(self.amps), basis, self.weight)
+        return QubitState(self.amps / nrm)
 
 
 def hadamard_all(vec: np.ndarray) -> np.ndarray:
@@ -241,20 +209,18 @@ def qubit_amplitudes(states: Sequence[FockState],
     return amps
 
 
-def to_qubit_state(state: FockState, mode_rails: Sequence[tuple[WireId, WireId]],
-                   rails: str = "computational", basis: str = "diagonal") -> QubitState:
-    """Read a one-boson-per-mode Fock state into a 2^n qubit vector.
+def to_qubit_state(state: FockState,
+                   mode_rails: Sequence[tuple[WireId, WireId]]) -> QubitState:
+    """Read a one-boson-per-mode Fock state into a unit 2^n qubit vector.
 
-    ``mode_rails[j]`` names mode j's two wires (rail 0, rail 1); ``rails``
-    says what those rails encode physically ("computational" levels 0/1 or
-    "diagonal" +/-).  Terms with bunched modes, empty modes, or photons on
-    other wires raise.  The result is normalized to a unit vector in the
-    requested ``basis``; the pre-normalization squared norm is kept in
-    ``weight``.
+    ``mode_rails[j]`` names mode j's two wires (rail 0, rail 1); a photon
+    on rail 1 sets mode j's bit.  Circuit outputs carry the plus and minus
+    states on their rails, so this is the diagonal-basis reading.  Terms
+    with bunched modes, empty modes, or photons on other wires raise, and
+    so does the zero state.
     """
     vec = qubit_amplitudes([state], mode_rails)[0]
     weight = float(np.vdot(vec, vec).real)
     if weight == 0:
         raise ValueError("zero state has no qubit reading")
-    q = QubitState(vec / math.sqrt(weight), rails, weight)
-    return q.in_basis(basis)
+    return QubitState(vec / math.sqrt(weight))

@@ -32,7 +32,7 @@ from . import fock
 from .circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
                       ReturnMerge, Source, Swap, UHWP, validate)
 from .fock import FockState
-from .sculpting import QubitState, hadamard_all, qubit_amplitudes, to_qubit_state
+from .sculpting import QubitState, qubit_amplitudes, to_qubit_state
 
 _R2 = 1.0 / math.sqrt(2.0)
 
@@ -180,7 +180,7 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
 
 def _output_rails(circuit: Circuit) -> list[tuple[int, int]]:
     """(rail 0, rail 1) wires of each output mode: polarization H/V or
-    rails 0/1, which encode the diagonal +/- pair."""
+    rails 0/1, which encode the diagonal +/- pair that QubitState reads."""
     rails = []
     for mode in circuit.output_modes:
         pair = circuit.mode_wires(mode)
@@ -189,11 +189,9 @@ def _output_rails(circuit: Circuit) -> list[tuple[int, int]]:
     return rails
 
 
-def residual_qubits(outcome: HeraldOutcome, circuit: Circuit,
-                    basis: str = "diagonal") -> QubitState:
+def residual_qubits(outcome: HeraldOutcome, circuit: Circuit) -> QubitState:
     """Read an outcome's residual into qubit amplitudes."""
-    return to_qubit_state(outcome.residual, _output_rails(circuit),
-                          rails="diagonal", basis=basis)
+    return to_qubit_state(outcome.residual, _output_rails(circuit))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ class _CorrectionPlan:
 
     def solve(self, amps: np.ndarray,
               atol: float) -> list[tuple[tuple[str, ...], float] | None]:
-        """Corrections for a batch of unit rows read in the target's basis.
+        """Corrections for a batch of unit rows.
 
         Walks the bit-flip masks once, in increasing order, testing every
         still-unresolved row at each; a row takes the first mask and the
@@ -323,18 +321,6 @@ class _CorrectionPlan:
                 unresolved[cand[hit]] = False
                 pending = np.flatnonzero(unresolved)
         return found
-
-
-def solve_correction(residual: QubitState, target: QubitState,
-                     atol: float = 1e-9) -> tuple[tuple[str, ...], float] | None:
-    """Per-mode correction X^a * diag(1, e^{i phi}) mapping residual onto
-    target (up to global phase), or None when no such correction exists.
-
-    Returns the per-mode labels and the corrected fidelity (>= 1 - atol).
-    """
-    if residual.basis != target.basis:
-        target = target.in_basis(residual.basis)
-    return _CorrectionPlan(target).solve(residual.normalized().amps[None, :], atol)[0]
 
 
 def _labels(a_mask: int, x: np.ndarray) -> list[tuple[str, ...]]:
@@ -385,8 +371,6 @@ def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
     for start in range(0, len(outcomes), block):
         chunk = outcomes[start:start + block]
         amps = qubit_amplitudes([oc.residual for oc in chunk], rails)
-        if target.basis != "diagonal":  # the output rails encode the diagonal basis
-            amps = hadamard_all(amps)
         norms = np.linalg.norm(amps, axis=1)
         if not norms.all():
             raise ValueError("zero state has no qubit reading")

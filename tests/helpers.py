@@ -315,11 +315,9 @@ def naive_labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
 
 
 def naive_solve_correction(residual, target, atol: float = 1e-9):
-    """Reference for ``sim.solve_correction`` and ``sim.classify_feedforward``:
-    one residual at a time, one bit-flip mask at a time, with the scalar
-    phase solver and label formatter above."""
-    if residual.basis != target.basis:
-        target = target.in_basis(residual.basis)
+    """Reference for ``sim.classify_feedforward``: one residual at a time,
+    one bit-flip mask at a time, with the scalar phase solver and label
+    formatter above."""
     plan = sim._CorrectionPlan(target)
     r = residual.normalized().amps
     if r.size != plan.t.size:

@@ -164,9 +164,9 @@ def test_criterion_09_genuineness(reports):
     ok &= genuine_entanglement(target_state("w", 3))
     ok &= genuine_entanglement(target_state("type5", 3))
     # negative controls
-    plus3 = QubitState(np.full(8, 1 / math.sqrt(8), dtype=complex), "computational")
+    plus3 = QubitState(np.full(8, 1 / math.sqrt(8), dtype=complex))
     bell = np.array([R2, 0, 0, R2], dtype=complex)
-    sep = QubitState(np.kron(np.array([R2, R2]), bell), "computational")
+    sep = QubitState(np.kron(np.array([R2, R2]), bell))
     ok &= not genuine_entanglement(plus3)
     ok &= not genuine_entanglement(sep)
     _line("09 genuineness", ok, "targets pass, product controls fail")

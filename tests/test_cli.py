@@ -1,12 +1,17 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sculpt.bigraph import ghz, serialize_graph
+from sculpt.bigraph import ghz, serialize_graph, w
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph
+from sculpt.circuit import serialize_circuit
 from sculpt.cli import main
+from sculpt.compiler import compile_graph
 
 
 def run_cli(capsys, *argv):
@@ -386,3 +391,126 @@ def test_report_max_n_bounds_w_too(capsys):
     assert ["w", "6"] not in rows
     # W's no-feed-forward column stays red as stated
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "1"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_atol_outside_zero_to_one_exits_2(tmp_path, capsys, source, value):
+    g, _ = _ghz2_circuit(tmp_path, capsys)
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"atol = {value}\n")
+    opts = [f"--atol={value}"] if source == "flag" else ["--config", str(conf)]
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
+                             "ghz", "--n", "2", *opts)
+    assert_one_error(code, out, err, "atol")
+
+
+def _legs(doc):
+    return [leg for dot in doc["dots"] for leg in dot["legs"]]
+
+
+@pytest.mark.parametrize("mutate,fragment", [
+    (lambda doc: _legs(doc)[0].update(mode="9"), "unknown circle '9'"),
+    (lambda doc: doc.update(n_main=1), "unknown circle '2'"),
+    (lambda doc: doc.update(n_main=True), "n_main"),
+    (lambda doc: _legs(doc)[0].update(state=["+"]), "dots[0].legs[0].state"),
+    (lambda doc: _legs(doc)[0].update(state={"+": 1}), "dots[0].legs[0].state"),
+    (lambda doc: doc["dots"][1].update(id=doc["dots"][0]["id"]), "dots[1].id"),
+    (lambda doc: _legs(doc)[0].update(amplitude=[math.nan, 0.0]), "dots[0]: per-dot"),
+    (lambda doc: _legs(doc)[0].update(phase=math.inf), "dots[0]: per-dot"),
+], ids=["undeclared-circle", "n-main-too-small", "n-main-true", "state-list",
+        "state-object", "duplicate-dot-id", "nan-amplitude", "infinite-phase"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_malformed_graph_exits_2(tmp_path, capsys, command, mutate, fragment):
+    g, _ = _ghz2_circuit(tmp_path, capsys)
+    doc = json.loads(g.read_text())
+    mutate(doc)
+    g.write_text(json.dumps(doc))
+    extra = ["--target", "ghz", "--n", "2"] if command == "verify" else []
+    code, out, err = run_cli(capsys, command, "--graph", str(g), *extra)
+    assert_one_error(code, out, err, str(g), fragment)
+
+
+def test_verify_graph_without_matchings_exits_2(tmp_path, capsys):
+    # W 2 without its last dot is not EPM; its oracle state has photons
+    # outside the qubit rails, and the compiler rejects it first
+    g = tmp_path / "g.json"
+    run_cli(capsys, "preset", "--kind", "w", "--n", "2", "--out", str(g))
+    doc = json.loads(g.read_text())
+    del doc["dots"][-1]
+    g.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--target", "w", "--n", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines and all(l.startswith("error: ") and "EPM pattern" in l for l in lines)
+
+
+def test_verify_zero_oracle_state_exits_3(tmp_path, capsys):
+    # a compilable realizable graph whose subtractions annihilate the state:
+    # dots 2 and 3 take mode 2's |+> and |-> alone, and a_+ a_- kills its pair
+    r2, r3 = 1 / math.sqrt(2), 1 / math.sqrt(3)
+    plus, minus, zero = InternalState.plus(), InternalState.minus(), InternalState.zero()
+    g = SculptingBigraph(2, ("A", "B"), (
+        Edge("1", 1, r3, plus), Edge("1", 4, -r2, minus),
+        Edge("2", 2, 1.0, plus), Edge("2", 3, -1.0, minus),
+        Edge("A", 1, r3, zero), Edge("B", 1, r3, zero), Edge("B", 4, r2, zero)))
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g))
+    assert run_cli(capsys, "compile", "--graph", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "verify", "--graph", str(path), "--target", "ghz",
+                             "--n", "2")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"error: {path}: zero state has no qubit reading"]
+
+
+_DELETE = object()
+_FUZZ_INPUTS = {
+    # name -> (input JSON, the commands to run on it)
+    "ghz2-graph": (json.loads(serialize_graph(ghz(2))),
+                   [["compile"], ["verify", "--target", "ghz", "--n", "2"]]),
+    "w2-graph": (json.loads(serialize_graph(w(2))),
+                 [["compile"], ["verify", "--target", "w", "--n", "2"]]),
+    "ghz2-circuit": (json.loads(serialize_circuit(compile_graph(ghz(2)))),
+                     [["simulate", "--target", "ghz"]]),
+}
+
+
+def _fields(node, path=()):
+    """Paths to every dict value and list item under node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """One of the GHZ 2 / W 2 graphs or the GHZ 2 circuit with one field
+    replaced by an odd value or deleted, and the commands to run on it."""
+    doc, commands = _FUZZ_INPUTS[draw(st.sampled_from(sorted(_FUZZ_INPUTS)))]
+    path = draw(st.sampled_from(list(_fields(doc))))
+    value = draw(st.sampled_from([_DELETE, None, True, 1.5, -1, 0, "x", [], {}]))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc, commands
+
+
+@given(mutated_inputs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_input_json_never_crashes(tmp_path, capsys, case):
+    doc, commands = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    for command, *rest in commands:
+        flag = "--circuit" if command == "simulate" else "--graph"
+        code, _, err = run_cli(capsys, command, flag, str(path), *rest)
+        assert code in (0, 2, 3)
+        assert all(line.startswith("error: ") for line in err.splitlines())

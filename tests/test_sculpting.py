@@ -2,14 +2,16 @@
 qubit extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import naive_hadamard_all, total_photons
 from sculpt import bigraph, fock
+from sculpt.analysis import oracle_qubit_state
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
-from sculpt.fock import FockState, WireTable
+from sculpt.fock import FockState
 from sculpt.sculpting import (QubitState, apply_sculpting, hadamard_all,
                               initial_state, no_bunching_check, oracle_wires,
                               pm_predict, to_qubit_state)
@@ -17,12 +19,12 @@ from sculpt.sculpting import (QubitState, apply_sculpting, hadamard_all,
 R2 = 1.0 / math.sqrt(2.0)
 
 
-def plus_minus_state(table: WireTable, signs: str, coeff: complex) -> FockState:
+def plus_minus_state(table: dict, signs: str, coeff: complex) -> FockState:
     """coeff * prod_j a†_{j,±}|vac> in the (mode, level) wire universe."""
     out = FockState.vacuum()
     for j, s in enumerate(signs, start=1):
-        w0 = table.id_of((str(j), 0))
-        w1 = table.id_of((str(j), 1))
+        w0 = table[(str(j), 0)]
+        w1 = table[(str(j), 1)]
         plus = fock.add_scaled(fock.scale(fock.create(out, w0), R2), R2,
                                fock.create(out, w1))
         minus = fock.add_scaled(fock.scale(fock.create(out, w0), R2), -R2,
@@ -32,19 +34,24 @@ def plus_minus_state(table: WireTable, signs: str, coeff: complex) -> FockState:
 
 
 def test_initial_state_single_mode():
-    table = WireTable()
-    s = initial_state(1, 0, table=table)
-    assert fock.allclose(s, FockState.from_counts(
-        {table.id_of(("1", 0)): 1, table.id_of(("1", 1)): 1}))
+    g = SculptingBigraph(1, (), ())
+    table = oracle_wires(g)
+    assert table == {("1", 0): 0, ("1", 1): 1}
+    assert fock.allclose(initial_state(g, table), FockState.from_counts({0: 1, 1: 1}))
 
 
 def test_initial_state_photon_counts():
-    assert total_photons(initial_state(3, 1)) == {7}
-    assert total_photons(initial_state(3, 3)) == {9}
-    with pytest.raises(ValueError):
-        initial_state(0, 0)
-    with pytest.raises(ValueError):
-        initial_state(2, -1)
+    # 2n + k photons: W 3 has one ancilla, type5 three
+    assert total_photons(initial_state(w(3), oracle_wires(w(3)))) == {7}
+    assert total_photons(initial_state(type5(), oracle_wires(type5()))) == {9}
+
+
+def test_oracle_wires_number_the_circles_in_order():
+    g = type5()
+    table = oracle_wires(g)
+    labels = [c.label for c in g.circles()]
+    assert list(table) == [(label, level) for label in labels for level in (0, 1)]
+    assert list(table.values()) == list(range(2 * len(labels)))
 
 
 def test_ghz_sculpting_closed_form():
@@ -89,17 +96,20 @@ def test_no_bunching():
     g = ghz(3)
     table = oracle_wires(g)
     assert no_bunching_check(apply_sculpting(g, table=table), g, table)
-    assert not no_bunching_check(initial_state(2, 0, table=oracle_wires(ghz(2))),
-                                 ghz(2))
+    assert not no_bunching_check(initial_state(ghz(2), oracle_wires(ghz(2))), ghz(2))
     assert no_bunching_check(FockState.zero(), g)
 
 
 def test_dot_order_independence():
+    # the oracle applies dots in id order, so renumbering the dots reorders them
     g = w(3)
     table = oracle_wires(g)
     base = apply_sculpting(g, table=table)
     for order in ([4, 3, 2, 1], [2, 4, 1, 3]):
-        assert fock.allclose(apply_sculpting(g, table=table, dot_order=order), base)
+        rank = {dot: i for i, dot in enumerate(order, start=1)}
+        edges = tuple(replace(e, dot=rank[e.dot]) for e in g.edges)
+        renumbered = SculptingBigraph(g.n_main, g.ancillas, edges)
+        assert fock.allclose(apply_sculpting(renumbered, table=table), base)
 
 
 def test_pm_predict_matches_sculpting_on_presets():
@@ -138,38 +148,32 @@ def test_pm_predict_no_matching_gives_zero():
 
 
 def test_to_qubit_state_single_mode():
-    table = WireTable()
-    w0, w1 = table.intern(("1", 0)), table.intern(("1", 1))
-    plus = fock.add_scaled(fock.scale(FockState.from_counts({w0: 1}), R2), R2,
-                           FockState.from_counts({w1: 1}))
-    q = to_qubit_state(plus, [(w0, w1)], rails="computational", basis="diagonal")
-    assert np.allclose(q.amps, [1.0, 0.0])
+    # rail 1 is bit 1, and the reading is normalized
+    w0, w1 = 0, 1
+    q = to_qubit_state(fock.scale(FockState.from_counts({w1: 1}), 3.0), [(w0, w1)])
+    assert np.allclose(q.amps, [0.0, 1.0])
 
 
 def test_to_qubit_state_ghz_both_bases():
     g = ghz(3)
     table = oracle_wires(g)
     out = apply_sculpting(g, table=table)
-    rails = [(table.id_of((str(j), 0)), table.id_of((str(j), 1))) for j in (1, 2, 3)]
-    diag = to_qubit_state(out, rails, rails="computational", basis="diagonal")
-    expect = np.zeros(8)
-    expect[0] = expect[7] = R2
-    assert np.allclose(diag.amps, expect, atol=1e-9)
-    assert abs(diag.weight - 2.0 / 8.0) < 1e-9
-    comp = to_qubit_state(out, rails, rails="computational", basis="computational")
-    # equal-weight spread over even-parity strings
+    # read straight off the levels: equal-weight spread over even-parity strings
+    rails = [(table[(str(j), 0)], table[(str(j), 1)]) for j in (1, 2, 3)]
+    levels = to_qubit_state(out, rails)
     expect_c = np.zeros(8)
     for idx in (0b000, 0b011, 0b101, 0b110):
         expect_c[idx] = 0.5
-    assert np.allclose(comp.amps, expect_c, atol=1e-9)
+    assert np.allclose(levels.amps, expect_c, atol=1e-9)
+    # the oracle's reading is in the diagonal basis: (|+++> + |--->)/r2
+    expect = np.zeros(8)
+    expect[0] = expect[7] = R2
+    assert np.allclose(oracle_qubit_state(g).amps, expect, atol=1e-9)
+    assert np.array_equal(oracle_qubit_state(g).amps, hadamard_all(levels.amps))
 
 
 def test_to_qubit_state_w():
-    g = w(3)
-    table = oracle_wires(g)
-    out = apply_sculpting(g, table=table)
-    rails = [(table.id_of((str(j), 0)), table.id_of((str(j), 1))) for j in (1, 2, 3)]
-    q = to_qubit_state(out, rails, rails="computational", basis="diagonal")
+    q = oracle_qubit_state(w(3))
     expect = np.zeros(8, dtype=complex)
     expect[0b100] = expect[0b010] = expect[0b001] = 1 / math.sqrt(3)
     # global sign is physical: compare up to phase
@@ -178,8 +182,7 @@ def test_to_qubit_state_w():
 
 
 def test_to_qubit_state_rejects_bunching():
-    table = WireTable()
-    w0, w1 = table.intern(("1", 0)), table.intern(("1", 1))
+    w0, w1 = 0, 1
     bunched = FockState.from_counts({w0: 2})
     with pytest.raises(ValueError):
         to_qubit_state(bunched, [(w0, w1)])
@@ -206,4 +209,6 @@ def test_qubit_state_validation():
     with pytest.raises(ValueError):
         QubitState(np.zeros(3))
     with pytest.raises(ValueError):
-        QubitState(np.zeros(4), basis="bogus")
+        QubitState(np.zeros(4)).normalized()
+    with pytest.raises(ValueError, match="zero state has no qubit reading"):
+        to_qubit_state(FockState.zero(), [(0, 1)])

@@ -16,7 +16,7 @@ from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 from sculpt.fock import FockState
 from sculpt.analysis import oracle_qubit_state, target_state
-from sculpt.sculpting import QubitState, hadamard_all, to_qubit_state
+from sculpt.sculpting import QubitState
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -319,24 +319,33 @@ def test_random_realizable_graphs_herald_the_oracle_state():
     assert checked == 12
 
 
+def _solve(residual: QubitState, target: QubitState, atol: float = 1e-9):
+    """``classify_feedforward`` on one outcome whose residual reads as
+    ``residual``: (labels, fidelity), or None when no correction fits."""
+    n = target.n_qubits
+    outcome = sim.HeraldOutcome(((99, 1),), 1.0, _rail_state(residual.amps, n))
+    cl, = sim.classify_feedforward([outcome], target, _qubit_rails_circuit(n), atol)
+    return None if cl.correction is None else (cl.correction, cl.corrected_fidelity)
+
+
 def test_solve_correction_target_equals_residual():
     t = target_state("w", 3)
-    labels, fid = sim.solve_correction(t, t)
+    labels, fid = _solve(t, t)
     assert all(l == "I" for l in labels) and fid > 1 - 1e-12
 
 
 def test_solve_correction_bit_flip():
     t = target_state("ghz", 2)
-    flipped = QubitState(t.amps[np.array([1, 0, 3, 2])], "diagonal")
-    labels, fid = sim.solve_correction(flipped, t)
+    flipped = QubitState(t.amps[np.array([1, 0, 3, 2])])
+    labels, fid = _solve(flipped, t)
     assert fid > 1 - 1e-9
     assert any(l.startswith("X") for l in labels)
 
 
 def test_solve_correction_reports_failure():
     t = target_state("ghz", 2)
-    other = QubitState(np.array([1, 0, 0, 0], dtype=complex), "diagonal")
-    assert sim.solve_correction(other, t) is None
+    other = QubitState(np.array([1, 0, 0, 0], dtype=complex))
+    assert _solve(other, t) is None
 
 
 @pytest.mark.parametrize("kind,n", PRESETS)
@@ -348,7 +357,7 @@ def test_classify_matches_per_outcome_solve_correction(kind, n, dual_rail):
     classified = sim.classify_feedforward(outcomes, target, c)
     assert len(classified) == len(outcomes)
     for oc, cl in zip(outcomes, classified):
-        qs = sim.residual_qubits(oc, c, basis=target.basis)
+        qs = sim.residual_qubits(oc, c)
         labels, fid = naive_solve_correction(qs, target, fock.ATOL)
         assert cl.correction == labels, oc.pattern
         assert cl.identity == all(l == "I" for l in labels)
@@ -391,15 +400,14 @@ def corrected_pairs(draw):
     r = np.empty(size, dtype=complex)
     r[np.arange(size) ^ a_mask] = t * np.exp(-1j * (bits @ x))
     glob = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
-    return (QubitState(r * glob, "diagonal").normalized(),
-            QubitState(t, "diagonal").normalized())
+    return QubitState(r * glob).normalized(), QubitState(t).normalized()
 
 
 @given(corrected_pairs())
 @settings(max_examples=200, deadline=None)
 def test_solve_correction_undoes_a_random_local_correction(pair):
     residual, target = pair
-    found = sim.solve_correction(residual, target, fock.ATOL)
+    found = _solve(residual, target, fock.ATOL)
     assert found is not None
     assert found[1] >= 1 - fock.ATOL
 
@@ -475,7 +483,7 @@ def _rail_state(vec, n):
 
 @st.composite
 def residual_batches(draw):
-    """A random target on 1-4 qubits, in either basis, and 1-12 residuals:
+    """A random target on 1-4 qubits and 1-12 residuals:
     each is the target under a random local correction (any bit-flip mask,
     phases in multiples of pi/4, any global phase), such a residual with a
     1e-6 amplitude leaked off the target's support, the target's magnitudes
@@ -488,7 +496,6 @@ def residual_batches(draw):
     assume(mags.any())
     t = mags * np.exp(1j * np.array(draw(st.lists(angle, min_size=size, max_size=size))))
     t /= np.linalg.norm(t)
-    basis = draw(st.sampled_from(["diagonal", "computational"]))
     bits = (np.arange(size)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rows = []
     kinds = st.sampled_from(["corrected", "leaky", "scrambled", "random"])
@@ -510,7 +517,7 @@ def residual_batches(draw):
             r = np.array(draw(st.lists(mag, min_size=size, max_size=size))) * phases
         assume(np.linalg.norm(r) > 1e-3)
         rows.append(r)
-    return QubitState(t, basis), rows
+    return QubitState(t), rows
 
 
 @given(residual_batches())
@@ -519,15 +526,11 @@ def test_classify_batch_matches_the_per_outcome_reference(batch):
     target, rows = batch
     n = target.n_qubits
     c = _qubit_rails_circuit(n)
-    # the residual is stored on the rails, which encode the diagonal basis
-    on_rails = [hadamard_all(r) if target.basis == "computational" else r for r in rows]
     outcomes = [sim.HeraldOutcome(((100 + i, 1),), 1.0, _rail_state(v, n))
-                for i, v in enumerate(on_rails)]
+                for i, v in enumerate(rows)]
     classified = sim.classify_feedforward(outcomes, target, c, fock.ATOL)
     for oc, cl in zip(outcomes, classified):
-        qs = to_qubit_state(oc.residual, sim._output_rails(c), rails="diagonal",
-                            basis=target.basis)
-        found = naive_solve_correction(qs, target, fock.ATOL)
+        found = naive_solve_correction(sim.residual_qubits(oc, c), target, fock.ATOL)
         if found is None:
             assert cl.correction is None and cl.corrected_fidelity is None
             continue
