@@ -36,7 +36,7 @@ class InternalState:
 
     def __post_init__(self) -> None:
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > ATOL:
+        if not abs(n - 1.0) <= ATOL:  # also rejects nan
             raise ValueError(f"internal state not normalized: |a|^2+|b|^2 = {n}")
 
     @staticmethod
@@ -219,7 +219,7 @@ def subtraction_operators(g: SculptingBigraph) -> list[list[tuple[str, InternalS
     for dot in g.dot_ids():
         legs = [(e.mode, e.state, e.amplitude) for e in g.edges_of_dot(dot)]
         total = sum(abs(c) ** 2 for _, _, c in legs)
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:  # also rejects nan
             raise ValueError(f"dot {dot} violates normalization: sum |amp|^2 = {total}")
         ops.append(legs)
     return ops

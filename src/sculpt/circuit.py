@@ -268,31 +268,40 @@ def _element_from_json(doc: dict, where: str) -> Element:
     if not isinstance(doc, dict):
         raise CircuitSchemaError(f"{where}: expected an object")
     kind = doc.get("kind")
-    stage = doc.get("stage", "")
+    if "stage" in doc and doc["stage"] not in STAGES:
+        raise CircuitSchemaError(
+            f"{where}: stage {doc['stage']!r} is not one of {', '.join(STAGES)}")
+    # A missing stage takes the element's own default.
+    stage = {"stage": doc["stage"]} if "stage" in doc else {}
 
     def wire(key: str) -> int:
         return _int(doc[key], key)
+
+    def mode(key: str) -> str:
+        if not isinstance(doc[key], str):
+            raise CircuitSchemaError(f"{key}: {doc[key]!r} is not a string")
+        return doc[key]
 
     def pairs() -> tuple[tuple[int, int], ...]:
         return tuple((_int(a, "mapping"), _int(b, "mapping")) for a, b in doc["mapping"])
 
     try:
         if kind == "source":
-            return Source(wire("wire"), doc["photons"], stage)
+            return Source(wire("wire"), doc["photons"], **stage)
         if kind == "hwp":
-            return HWP(doc["mode"], wire("h"), wire("v"), stage)
+            return HWP(mode("mode"), wire("h"), wire("v"), **stage)
         if kind == "uhwp":
-            return UHWP(doc["mode"], wire("h"), wire("v"), stage)
+            return UHWP(mode("mode"), wire("h"), wire("v"), **stage)
         if kind == "pbs":
-            return PBS(doc["mode_a"], doc["mode_b"], wire("a_h"), wire("a_v"),
-                       wire("b_h"), wire("b_v"), stage)
+            return PBS(mode("mode_a"), mode("mode_b"), wire("a_h"), wire("a_v"),
+                       wire("b_h"), wire("b_v"), **stage)
         if kind in ("bs", "multiport"):
             return Multiport(tuple(tuple(_int(w, "ports") for w in grp)
-                                   for grp in doc["ports"]), stage)
+                                   for grp in doc["ports"]), **stage)
         if kind == "swap":
-            return Swap(pairs(), stage)
+            return Swap(pairs(), **stage)
         if kind == "merge":
-            return ReturnMerge(doc["mode"], pairs(), stage)
+            return ReturnMerge(mode("mode"), pairs(), **stage)
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(f"{where}: malformed {kind} element ({exc})") from None
     raise CircuitSchemaError(f"{where}: unknown element kind {kind!r}")

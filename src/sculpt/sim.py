@@ -2,12 +2,18 @@
 
 The propagated state is held sparsely; every element is either a wire
 permutation or a linear substitution on creation operators, so propagation
-is exact up to floating point.  Heralding buckets the final state by its
-detector-wire occupation signature: each signature that meets every
-detector group's required count becomes one outcome with an exact
-conditional residual state and probability.  Each group's count filter is
-projected as soon as its subtractor's herald is fixed, so rejected branches
-are not carried through the rest of the circuit.
+is exact up to floating point.  The state is a product of factors, each a
+sparse state on a disjoint set of wires: a source, wave plate or multiport
+first merges, by tensor product, the factors that own its wires and then
+acts on that one factor.  Wire permutations touch no term: they update a
+map from circuit wire to storage wire, through which later elements and
+filters read their wires, and one relabel of the final state maps the
+wires back.  Heralding buckets the final state by its detector-wire
+occupation signature: each signature that meets every detector group's
+required count becomes one outcome with an exact conditional residual state
+and probability.  Each group's count filter is projected, on the factor
+that holds its wires, as soon as its subtractor's herald is fixed, so
+rejected branches are not carried through the rest of the circuit.
 
 Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
@@ -47,8 +53,25 @@ def _fourier(n: int) -> tuple[tuple[complex, ...], ...]:
                        for j in range(n)) for k in range(n))
 
 
+def _permutation(el) -> dict[int, int] | None:
+    """The wire mapping (src -> dst) of a permutation element, None for any
+    other element.  A mapping that does not permute its own wires raises
+    ``ValueError``."""
+    if isinstance(el, PBS):
+        return {el.a_v: el.b_v, el.b_v: el.a_v}
+    if not isinstance(el, (Swap, ReturnMerge)):
+        return None
+    mapping = dict(el.mapping)
+    if sorted(mapping) != sorted(mapping.values()):
+        raise ValueError(f"{el.kind} mapping is not a permutation of its wires")
+    return mapping
+
+
 def apply_element(state: FockState, el) -> FockState:
     """Apply one element's action; unknown elements raise."""
+    perm = _permutation(el)
+    if perm is not None:
+        return fock.relabel(state, perm)
     if isinstance(el, Source):
         out = state
         for _ in range(el.photons):
@@ -62,8 +85,6 @@ def apply_element(state: FockState, el) -> FockState:
         rules = {el.h: ((el.h, -_R2), (el.v, _R2)),
                  el.v: ((el.h, _R2), (el.v, _R2))}
         return fock.substitute(state, rules)
-    if isinstance(el, PBS):
-        return fock.relabel(state, {el.a_v: el.b_v, el.b_v: el.a_v})
     if isinstance(el, Multiport):
         n = el.n
         u = _fourier(n)
@@ -74,11 +95,33 @@ def apply_element(state: FockState, el) -> FockState:
                 rules[el.ports[j][slot]] = tuple(
                     (el.ports[k][slot], u[k][j]) for k in range(n))
         return fock.substitute(state, rules)
-    if isinstance(el, (Swap, ReturnMerge)):
-        if not el.mapping:
-            return state
-        return fock.relabel(state, dict(el.mapping))
     raise SimulationError(f"unknown element {el!r}")
+
+
+def _moved(el, where: dict[int, int]):
+    """A non-permutation element moved onto the storage wires that hold its
+    circuit wires."""
+    if isinstance(el, Source):
+        return Source(where.get(el.wire, el.wire), el.photons, el.stage)
+    if isinstance(el, (HWP, UHWP)):
+        return type(el)(el.mode, where.get(el.h, el.h), where.get(el.v, el.v), el.stage)
+    if isinstance(el, Multiport):
+        return Multiport(tuple(tuple(where.get(w, w) for w in grp) for grp in el.ports),
+                         el.stage)
+    raise SimulationError(f"unknown element {el!r}")
+
+
+def _merge(owner: dict[int, tuple[FockState, frozenset[int]]],
+           wires: Iterable[int]) -> tuple[FockState, frozenset[int]]:
+    """The tensor product of the factors in ``owner`` that hold any of
+    ``wires``, and the wires it holds: theirs and ``wires``, the ones no
+    factor owns in vacuum."""
+    wires = frozenset(wires)
+    state = None
+    for part, part_wires in {id(f): f for f in map(owner.get, wires) if f is not None}.values():
+        state = part if state is None else fock.tensor(state, part)
+        wires |= part_wires
+    return (FockState.vacuum() if state is None else state), wires
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +191,37 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
     Each group's required-count filter is projected during propagation, at
     the point :func:`_herald_schedule` proves it commutes with the rest of
     the circuit; this only prunes terms that the final filter would reject.
+    The state is held as a product of factors (see the module docstring)
+    until the last element, after which all factors are merged.
     """
     if check:
         diags = validate(circuit)
         if diags:
             raise SimulationError("invalid circuit: " + "; ".join(diags))
     schedule = _herald_schedule(circuit)
-    state = FockState.vacuum()
+    # where[c] is the storage wire that holds circuit wire c; a permutation
+    # element updates it instead of re-keying any term.  owner[s] is the
+    # factor, a (state, wires) pair, that holds storage wire s; factors hold
+    # disjoint wires, and a wire no factor holds is in vacuum.
+    where: dict[int, int] = {}
+    owner: dict[int, tuple[FockState, frozenset[int]]] = {}
     for i, el in enumerate(circuit.elements):
-        state = apply_element(state, el)
+        perm = _permutation(el)
+        if perm is not None:
+            where.update({dst: where.get(src, src) for src, dst in perm.items()})
+        else:
+            moved = _moved(el, where)
+            state, wires = _merge(owner, moved.wires_used())
+            owner.update(dict.fromkeys(wires, (apply_element(state, moved), wires)))
         for grp, span in schedule.get(i, ()):
-            state, _ = fock.project_count(state, span, grp.required)
+            stored = [where.get(w, w) for w in span]
+            state, wires = _merge(owner, stored)
+            state, _ = fock.project_count(state, stored, grp.required)
+            if state.is_zero():
+                return []
+            owner.update(dict.fromkeys(wires, (state, wires)))
+    state, _ = _merge(owner, list(owner))
+    state = fock.relabel(state, {s: c for c, s in where.items() if s != c})
     det_wires = sorted(circuit.detector_wires())
     out_wires = set(circuit.outputs)
     outcomes: list[HeraldOutcome] = []

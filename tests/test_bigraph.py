@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sculpt import bigraph
+from sculpt.analysis import verify_scheme
 from sculpt.bigraph import (Edge, EpmPattern, GraphSchemaError, InternalState,
                             SculptingBigraph, classify_circle, ghz,
                             graph_to_dot, is_epm, parse_graph,
@@ -137,6 +138,21 @@ def test_subtraction_operators_normalization_error():
                                  Edge("1", 1, 0.4, InternalState.minus())))
     with pytest.raises(ValueError):
         subtraction_operators(g)
+
+
+def test_nan_amplitude_is_rejected():
+    # abs(nan - 1) > ATOL is false, so the test must be written the other
+    # way round; verify_scheme used to report P_ff = 0 with no error
+    g = ghz(2)
+    first = g.edges[0]
+    g = SculptingBigraph(2, (), (Edge(first.mode, first.dot, complex(math.nan, 0),
+                                      first.state),) + g.edges[1:])
+    with pytest.raises(ValueError, match="normalization"):
+        subtraction_operators(g)
+    with pytest.raises(ValueError, match="normalization"):
+        verify_scheme(g, "ghz", 2)
+    with pytest.raises(ValueError, match="not normalized"):
+        InternalState(complex(math.nan, 0), 0.0)
 
 
 def test_ghz_matchings_count_and_brute_force():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sculpt.bigraph import ghz, serialize_graph, w
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph
-from sculpt.circuit import serialize_circuit
+from sculpt.circuit import parse_circuit, serialize_circuit
 from sculpt.cli import main
 from sculpt.compiler import compile_graph
 
@@ -355,6 +355,38 @@ def test_simulate_pbs_repeating_a_wire_exits_2(tmp_path, capsys):
 def test_simulate_boolean_integer_field_exits_2(tmp_path, capsys, mutate, fragment):
     code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
     assert_one_error(code, out, err, fragment)
+
+
+@pytest.mark.parametrize("kind,field,value,fragment", [
+    ("source", "stage", 5, "stage 5 is not one of source"),
+    ("source", "stage", None, "stage None"),
+    ("hwp", "stage", "bogus", "stage 'bogus'"),
+    ("hwp", "mode", None, "mode: None is not a string"),
+    ("hwp", "mode", 7, "mode: 7 is not a string"),
+    ("hwp", "mode", ["1"], "mode: ['1'] is not a string"),
+    ("pbs", "mode_a", 7, "mode_a: 7 is not a string"),
+    ("pbs", "mode_b", None, "mode_b: None is not a string"),
+    ("merge", "mode", 1.5, "mode: 1.5 is not a string"),
+])
+def test_simulate_malformed_stage_or_mode_exits_2(tmp_path, capsys, kind, field, value,
+                                                  fragment):
+    code, out, err = _simulate_mutated_target(
+        tmp_path, capsys, lambda doc: _first(doc, kind).update({field: value}))
+    assert_one_error(code, out, err, fragment)
+
+
+def test_simulate_element_without_stage_takes_its_default(tmp_path, capsys):
+    code, _, err = _simulate_mutated_target(
+        tmp_path, capsys, lambda doc: [el.pop("stage") for el in doc["elements"]])
+    assert code == 0, err
+    # the default is the element's own, so the parsed circuit serializes to
+    # JSON that parses again
+    doc = json.loads(serialize_circuit(compile_graph(ghz(2))))
+    for el in doc["elements"]:
+        el.pop("stage")
+    c = parse_circuit(json.dumps(doc))
+    assert [el.stage for el in c.elements] == [type(el).stage for el in c.elements]
+    assert parse_circuit(serialize_circuit(c)) == c
 
 
 @pytest.mark.parametrize("kind", ["bs", "swap"])

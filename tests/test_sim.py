@@ -12,7 +12,7 @@ from helpers import (assert_same_outcomes, naive_solve_correction,
 from sculpt import bigraph, fock, sim
 from sculpt.bigraph import ghz, w
 from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
-                            Source, Swap, UHWP, Wire)
+                            ReturnMerge, Source, Swap, UHWP, Wire)
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 from sculpt.fock import FockState
 from sculpt.analysis import oracle_qubit_state, target_state
@@ -211,6 +211,129 @@ def test_detector_budget_exceeding_photons_gives_no_outcomes():
     c = Circuit(wires, [Source(0, 1)], [DetectorGroup(1, (1,), 3)],
                 outputs=[0], output_modes=["a"])
     assert sim.run_heralded(c) == []
+
+
+def _wires(m):
+    return [Wire(i, f"m{i // 2}", "HV"[i % 2]) for i in range(m)]
+
+
+@st.composite
+def small_circuits(draw):
+    """A valid circuit on 4-6 wires: up to 8 sources, wave plates, PBSs,
+    swaps, merges and 2-3-port multiports on random wires, in any order,
+    with at most 5 photons in all, and 0-2 random detector groups.  Every
+    other wire is an output."""
+    m = draw(st.integers(4, 6))
+
+    def distinct(k):
+        return list(draw(st.permutations(range(m)))[:k])
+
+    def permutation():
+        ws = distinct(draw(st.integers(0, m)))
+        return tuple(zip(ws, draw(st.permutations(ws))))
+
+    elements, photons = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["source", "hwp", "uhwp", "pbs", "swap", "merge",
+                                     "multiport"]))
+        if kind == "source":
+            n = draw(st.integers(0, min(2, 5 - photons)))
+            photons += n
+            elements.append(Source(distinct(1)[0], n))
+        elif kind in ("hwp", "uhwp"):
+            elements.append((HWP if kind == "hwp" else UHWP)("m0", *distinct(2)))
+        elif kind == "pbs":
+            elements.append(PBS("m0", "m1", *distinct(4)))
+        elif kind == "swap":
+            elements.append(Swap(permutation()))
+        elif kind == "merge":
+            elements.append(ReturnMerge("m0", permutation()))
+        else:
+            n, arity = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+            ws = distinct(n * arity)
+            elements.append(Multiport(tuple(tuple(ws[j * arity:(j + 1) * arity])
+                                            for j in range(n))))
+    groups, free = [], distinct(m)
+    for gid in range(draw(st.integers(0, 2))):
+        size = draw(st.integers(1, 2))
+        groups.append(DetectorGroup(gid, tuple(free[:size]), draw(st.integers(0, 2))))
+        free = free[size:]
+    return Circuit(_wires(m), elements, groups, outputs=sorted(free), output_modes=[])
+
+
+@given(small_circuits())
+@settings(max_examples=200, deadline=None)
+def test_factored_propagation_matches_full_propagation(c):
+    assert_same_outcomes(sim.run_heralded(c), reference_outcomes(c))
+
+
+def test_swap_trades_photons_between_unjoined_factors():
+    # wires 0 and 1 hold one and two photons in two factors; the swap only
+    # renames them.  The filter on {1, 2}, placed after the third photon's
+    # source, reads circuit wire 1 through the wire map: one photon from
+    # wire 0 plus the new one meet the required 2 (storage wires {1, 2}
+    # would hold 3).  The beam splitters then join circuit wire 1 (stored
+    # on 0) with the third photon, and circuit wire 0 (stored on 1) with
+    # vacuum.
+    elements = [Source(0, 1), Source(1, 2), Swap(((0, 1), (1, 0))), Source(2, 1),
+                Multiport(((1,), (2,))), Multiport(((0,), (3,)))]
+    c = Circuit(_wires(6), elements,
+                [DetectorGroup(0, (1, 2), 2), DetectorGroup(1, (3,), 1)],
+                outputs=[0, 4, 5], output_modes=[])
+    assert sim._herald_schedule(c)[3] == [(c.detector_groups[0], {1, 2})]
+    outcomes = sim.run_heralded(c)
+    assert [oc.pattern for oc in outcomes] == [((1, 2), (3, 1)), ((2, 2), (3, 1))]
+    assert_same_outcomes(outcomes, reference_outcomes(c))
+
+
+@pytest.mark.parametrize("required,kept", [(0, True), (1, False)])
+def test_filter_span_that_no_factor_owns(required, kept):
+    # the detector wire sees no element, so its count is 0 at the filter
+    c = Circuit(_wires(4), [Source(0, 1), HWP("m0", 0, 1)],
+                [DetectorGroup(0, (2,), required)], outputs=[0, 1, 3], output_modes=[])
+    assert sim._herald_schedule(c) == {0: [(c.detector_groups[0], {2})]}
+    outcomes = sim.run_heralded(c)
+    assert bool(outcomes) == kept
+    assert_same_outcomes(outcomes, reference_outcomes(c))
+
+
+def test_zero_photon_source():
+    # the source on wire 0 owns it in vacuum; the wave plate must merge
+    # that factor with the photon on wire 1
+    c = Circuit(_wires(4), [Source(0, 0), Source(1, 1), HWP("m0", 0, 1)],
+                [DetectorGroup(0, (1,), 1)], outputs=[0, 2, 3], output_modes=[])
+    outcomes = sim.run_heralded(c)
+    assert len(outcomes) == 1 and abs(outcomes[0].probability - 0.5) < 1e-12
+    assert_same_outcomes(outcomes, reference_outcomes(c))
+
+
+@pytest.mark.parametrize("mapping", [((0, 1),), ((0, 1), (1, 1))], ids=["open", "collapsing"])
+def test_non_permutation_swap_raises_without_check(mapping):
+    c = Circuit(_wires(4), [Source(0, 1), Swap(mapping)], [], outputs=[0, 1, 2, 3],
+                output_modes=[])
+    with pytest.raises(ValueError, match="not a permutation"):
+        sim.run_heralded(c, check=False)
+    with pytest.raises(ValueError, match="not a permutation"):
+        sim.apply_element(FockState.from_counts({0: 1}), Swap(mapping))
+
+
+@pytest.mark.parametrize("kind,n,peak", [("type5", 3, 720), ("ghz", 5, 64), ("ghz", 8, 512)])
+@ENCODINGS
+def test_peak_terms(monkeypatch, kind, n, peak, dual_rail):
+    # the largest factor any element returns; full-state propagation
+    # peaked at 2304, 128 and 1024
+    c = _preset_circuit(kind, n, dual_rail)
+    sizes = []
+    apply_element = sim.apply_element
+
+    def counted(state, el):
+        out = apply_element(state, el)
+        sizes.append(out.num_terms())
+        return out
+
+    monkeypatch.setattr(sim, "apply_element", counted)
+    sim.run_heralded(c)
+    assert max(sizes) <= peak
 
 
 def test_heralded_ghz_all_upper_residual():
