@@ -41,26 +41,24 @@ class InternalState:
 
     @staticmethod
     def zero() -> "InternalState":
-        return InternalState(1.0, 0.0)
+        return _NAMED_STATES["0"]
 
     @staticmethod
     def one() -> "InternalState":
-        return InternalState(0.0, 1.0)
+        return _NAMED_STATES["1"]
 
     @staticmethod
     def plus() -> "InternalState":
-        r = 1.0 / math.sqrt(2.0)
-        return InternalState(r, r)
+        return _NAMED_STATES["+"]
 
     @staticmethod
     def minus() -> "InternalState":
-        r = 1.0 / math.sqrt(2.0)
-        return InternalState(r, -r)
+        return _NAMED_STATES["-"]
 
     @staticmethod
     def named(name: str) -> "InternalState":
         try:
-            return _NAMED_STATES[name]()
+            return _NAMED_STATES[name]
         except KeyError:
             raise ValueError(f"unknown internal state name {name!r}") from None
 
@@ -70,8 +68,13 @@ class InternalState:
 
     @property
     def name(self) -> str:
-        for name, ctor in _NAMED_STATES.items():
-            if self.isclose(ctor()):
+        """The named state this one is, or lies within ``ATOL`` of, else
+        "custom"."""
+        for name, state in _NAMED_STATES.items():
+            if self is state:
+                return name
+        for name, state in _NAMED_STATES.items():
+            if self.isclose(state):
                 return name
         return "custom"
 
@@ -80,11 +83,13 @@ class InternalState:
         return (complex(self.alpha).conjugate(), complex(self.beta).conjugate())
 
 
+# The four named states, built and validated once; the static constructors
+# return these instances.
 _NAMED_STATES = {
-    "0": InternalState.zero,
-    "1": InternalState.one,
-    "+": InternalState.plus,
-    "-": InternalState.minus,
+    "0": InternalState(1.0, 0.0),
+    "1": InternalState(0.0, 1.0),
+    "+": InternalState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
+    "-": InternalState(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)),
 }
 
 

@@ -13,8 +13,10 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from bisect import bisect_left
+from typing import Iterable, Iterator, Mapping, Sequence
 
 WireId = int
 
@@ -106,48 +108,37 @@ def scale(state: FockState, c: complex) -> FockState:
     return FockState({occ: c * amp for occ, amp in state.terms()})
 
 
-def add_scaled(a: FockState, c: complex, b: FockState) -> FockState:
-    """Termwise a + c*b with dropout of negligible amplitudes."""
-    out = dict(a._terms)
-    for occ, amp in b.terms():
-        out[occ] = out.get(occ, 0.0) + c * amp
-    return FockState(out)
+def ladder(state: FockState, legs: Sequence[tuple[WireId, complex]],
+           create: bool = False) -> FockState:
+    """Apply sum_i c_i a_{w_i}, or sum_i c_i a†_{w_i} if ``create``, in one
+    pass over the terms.
 
-
-def _occ_set(occ: Occupation, w: WireId, n: int) -> Occupation:
-    items = [(wi, ni) for wi, ni in occ if wi != w]
-    if n:
-        items.append((w, n))
-    items.sort()
-    return tuple(items)
-
-
-def _occ_get(occ: Occupation, w: WireId) -> int:
-    for wi, ni in occ:
-        if wi == w:
-            return ni
-    return 0
-
-
-def create(state: FockState, w: WireId) -> FockState:
-    """Apply the creation operator a†_w: amplitude picks up sqrt(n+1)."""
+    Each occupation is read once: every leg finds its wire by bisection and
+    splices the one changed (wire, count) pair into the key, picking up
+    sqrt(n) on annihilation of n photons and sqrt(n+1) on creation.  Legs
+    with |c| < ``DROP_TOL`` are skipped, and amplitudes that cancel are
+    dropped.  Repeated wires among the legs add up.
+    """
+    step = 1 if create else -1
+    legs = [(w, (w,), c) for w, c in legs if abs(c) >= DROP_TOL]
+    sqrt = math.sqrt
     out: dict[Occupation, complex] = {}
+    get = out.get
     for occ, amp in state.terms():
-        n = _occ_get(occ, w)
-        key = _occ_set(occ, w, n + 1)
-        out[key] = out.get(key, 0.0) + amp * math.sqrt(n + 1)
-    return FockState(out)
-
-
-def annihilate(state: FockState, w: WireId) -> FockState:
-    """Apply a_w: terms with no photon at w vanish; amplitude picks up sqrt(n)."""
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms():
-        n = _occ_get(occ, w)
-        if n == 0:
-            continue
-        key = _occ_set(occ, w, n - 1)
-        out[key] = out.get(key, 0.0) + amp * math.sqrt(n)
+        size = len(occ)
+        for w, probe, c in legs:
+            i = bisect_left(occ, probe)
+            if i < size and occ[i][0] == w:
+                n = occ[i][1]
+                m = n + step
+                key = occ[:i] + ((w, m),) + occ[i + 1:] if m else occ[:i] + occ[i + 1:]
+                amp_n = amp * sqrt(m if create else n)
+            elif create:
+                key = occ[:i] + ((w, 1),) + occ[i:]
+                amp_n = amp
+            else:
+                continue
+            out[key] = get(key, 0.0) + c * amp_n
     return FockState(out)
 
 
@@ -214,29 +205,16 @@ def group_by_counts(state: FockState, wires: Iterable[WireId]):
         yield sig, FockState._adopt(buckets[sig])
 
 
-def strip_wires(state: FockState, wires: Iterable[WireId]) -> FockState:
-    """Drop the given wires from every occupation vector (they must carry a
-    definite, term-independent photon pattern, e.g. after group_by_counts)."""
-    wset = set(wires)
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms():
-        key = tuple((wi, ni) for wi, ni in occ if wi not in wset)
-        if key in out:
-            raise ValueError("stripped wires were entangled with the rest")
-        out[key] = amp
-    return FockState._adopt(out)
-
-
 def substitute(state: FockState, rules: Mapping[WireId, Sequence[tuple[WireId, complex]]]) -> FockState:
     """Apply a linear substitution on creation operators.
 
     ``rules[w] = [(w', c'), ...]`` means a†_w -> sum c' a†_{w'}; wires not in
     ``rules`` are untouched.  Terms are grouped by their occupation of the
     rule wires.  Each group's image is built once, from vacuum with
-    :func:`create`, and merged into every rest of the group by adding the
+    :func:`ladder`, and merged into every rest of the group by adding the
     counts.  An image wire outside the rule keys gets the identity rule, so
     a rest never holds an image wire and the merge needs no sqrt factor:
-    create has applied them all.  Unitary rules preserve the squared norm
+    the ladder has applied them all.  Unitary rules preserve the squared norm
     exactly.
     """
     rules = {**{v: ((v, 1.0),) for legs in rules.values() for v, _ in legs}, **rules}
@@ -250,8 +228,9 @@ def substitute(state: FockState, rules: Mapping[WireId, Sequence[tuple[WireId, c
         image = FockState.vacuum()
         for w, n in local:
             for _ in range(n):
-                image = apply_operator(image, rules[w], create)
-            image = scale(image, 1.0 / math.sqrt(math.factorial(n)))
+                image = ladder(image, rules[w], create=True)
+            if n > 1:
+                image = scale(image, 1.0 / math.sqrt(math.factorial(n)))
         image_terms = list(image.terms())
         for rest, amp in rests:
             for img, c in image_terms:
@@ -266,17 +245,7 @@ def allclose(a: FockState, b: FockState, atol: float = ATOL) -> bool:
     return all(abs(a._terms.get(k, 0.0) - b._terms.get(k, 0.0)) <= atol for k in keys)
 
 
-def apply_operator(state: FockState, legs: Sequence[tuple[WireId, complex]],
-                   kind: Callable[[FockState, WireId], FockState] = annihilate) -> FockState:
-    """Apply sum_i c_i op(w_i) to a state (op defaults to annihilation)."""
-    out = FockState.zero()
-    for w, c in legs:
-        if abs(c) < DROP_TOL:
-            continue
-        out = add_scaled(out, c, kind(state, w))
-    return out
-
-
+@functools.lru_cache(maxsize=256)
 def rationalize(p: float, max_num: int = 2 ** 16, max_odd: int = 81,
                 rtol: float = 1e-9) -> str | None:
     """Render a probability as an exact fraction n / (d 2^k), d odd, if one
@@ -289,7 +258,8 @@ def rationalize(p: float, max_num: int = 2 ** 16, max_odd: int = 81,
     ``max_num``, so the tiny probabilities of large schemes render as
     exactly as the small ones, and a tiny p is never rounded to "0".  Raw
     floats remain the source of truth; this is for human-readable reports
-    only.
+    only.  Memoized: a report repeats a few distinct probabilities many
+    times.
     """
     if p == 0:
         return "0"

@@ -37,11 +37,11 @@ def oracle_wires(g: SculptingBigraph) -> OracleWires:
 def initial_state(g: SculptingBigraph, table: OracleWires) -> FockState:
     """Product state of 2n+k bosons: one (0,1) pair per main mode, one
     level-0 boson per ancilla mode."""
+    wires = [table[(label, level)] for label in g.main_labels() for level in (0, 1)]
+    wires += [table[(a, 0)] for a in g.ancillas]
     state = FockState.vacuum()
-    for label in g.main_labels():
-        state = fock.create(fock.create(state, table[(label, 0)]), table[(label, 1)])
-    for a in g.ancillas:
-        state = fock.create(state, table[(a, 0)])
+    for w in wires:
+        state = fock.ladder(state, ((w, 1.0),), create=True)
     return state
 
 
@@ -66,7 +66,7 @@ def apply_sculpting(g: SculptingBigraph, table: OracleWires | None = None) -> Fo
     subtraction_operators(g)  # normalization check
     state = initial_state(g, table)
     for dot in g.dot_ids():
-        state = fock.apply_operator(state, _dot_wire_legs(g, table, dot))
+        state = fock.ladder(state, _dot_wire_legs(g, table, dot))
     return state
 
 
@@ -101,7 +101,7 @@ def pm_predict(g: SculptingBigraph, table: OracleWires | None = None) -> FockSta
     if table is None:
         table = oracle_wires(g)
     kinds = {c.label: c.kind for c in g.circles()}
-    result = FockState.zero()
+    result: dict[fock.Occupation, complex] = {}
     for pm in perfect_matchings(g):
         term = FockState.vacuum()
         scalar = 1.0 + 0.0j
@@ -109,18 +109,16 @@ def pm_predict(g: SculptingBigraph, table: OracleWires | None = None) -> FockSta
             e = g.edges[idx]
             if kinds[e.mode] is CircleKind.MAIN:
                 # a_psi a0† a1†|vac> = conj(alpha) a1† + conj(beta) a0†
-                w0 = table[(e.mode, 0)]
-                w1 = table[(e.mode, 1)]
-                leg = fock.add_scaled(
-                    fock.scale(fock.create(term, w0), complex(e.state.beta).conjugate()),
-                    complex(e.state.alpha).conjugate(),
-                    fock.create(term, w1))
-                term = fock.scale(leg, e.amplitude)
+                conj_a, conj_b = e.state.annihilation_coeffs()
+                term = fock.ladder(term, ((table[(e.mode, 0)], e.amplitude * conj_b),
+                                          (table[(e.mode, 1)], e.amplitude * conj_a)),
+                                   create=True)
             else:
                 # a_psi on a single level-0 boson leaves conj(alpha) |vac>
                 scalar *= e.amplitude * complex(e.state.alpha).conjugate()
-        result = fock.add_scaled(result, scalar, term)
-    return result
+        for occ, amp in term.terms():
+            result[occ] = result.get(occ, 0.0) + scalar * amp
+    return FockState(result)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ sparse state on a disjoint set of wires: a source, wave plate or multiport
 first merges, by tensor product, the factors that own its wires and then
 acts on that one factor.  Wire permutations touch no term: they update a
 map from circuit wire to storage wire, through which later elements and
-filters read their wires, and one relabel of the final state maps the
-wires back.  Heralding buckets the final state by its detector-wire
-occupation signature: each signature that meets every detector group's
-required count becomes one outcome with an exact conditional residual state
-and probability.  Each group's count filter is projected, on the factor
-that holds its wires, as soon as its subtractor's herald is fixed, so
-rejected branches are not carried through the rest of the circuit.
+filters read their wires.  One pass over the final state maps the wires
+back and buckets the terms by their detector-wire occupation signature:
+each signature that meets every detector group's required count becomes
+one outcome with an exact conditional residual state and probability.
+Each group's count filter is projected, on the factor that holds its
+wires, as soon as its subtractor's herald is fixed, so rejected branches
+are not carried through the rest of the circuit.
 
 Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
@@ -75,7 +75,9 @@ def apply_element(state: FockState, el) -> FockState:
     if isinstance(el, Source):
         out = state
         for _ in range(el.photons):
-            out = fock.create(out, el.wire)
+            out = fock.ladder(out, ((el.wire, 1.0),), create=True)
+        if el.photons < 2:
+            return out
         return fock.scale(out, 1.0 / math.sqrt(math.factorial(el.photons)))
     if isinstance(el, HWP):
         rules = {el.h: ((el.h, _R2), (el.v, _R2)),
@@ -221,23 +223,75 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
                 return []
             owner.update(dict.fromkeys(wires, (state, wires)))
     state, _ = _merge(owner, list(owner))
-    state = fock.relabel(state, {s: c for c, s in where.items() if s != c})
-    det_wires = sorted(circuit.detector_wires())
-    out_wires = set(circuit.outputs)
+    return _outcomes(state, circuit, where)
+
+
+def _outcomes(state: FockState, circuit: Circuit,
+              where: dict[int, int]) -> list[HeraldOutcome]:
+    """Sort the final state, held on storage wires, into heralded outcomes
+    in one pass over its terms.
+
+    Each distinct (storage wire, count) pair is mapped once, through the
+    inverse of ``where``, to its circuit wire, and marked as a detector pair
+    or not; a pair on neither a detector nor an output is noted as stray.  A
+    term is bucketed by its detector signature and keyed by the rest of its
+    pairs; the two together give back the occupation, so no two terms of a
+    bucket collide.  A signature is accepted when every group's detector
+    count equals its required count.  The filters placed during propagation
+    do not make this check redundant: each fixes the count on its whole
+    span, which may hold wires that are neither detectors nor outputs.  A
+    stray photon raises only in an accepted signature.
+    """
+    back = {s: c for c, s in where.items()}
+    detectors = circuit.detector_wires()
+    outputs = set(circuit.outputs)
+    # (storage wire, count) -> (circuit pair, on a detector)
+    pairs: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
+    strays: set[tuple[int, int]] = set()
+    buckets: dict[fock.Occupation, dict[fock.Occupation, complex]] = {}
+    for occ, amp in state.terms():
+        sig = []
+        rest = []
+        for pair in occ:
+            hit = pairs.get(pair)
+            if hit is None:
+                c = back.get(pair[0], pair[0])
+                hit = pairs[pair] = ((c, pair[1]), c in detectors)
+                if not hit[1] and c not in outputs:
+                    strays.add(hit[0])
+            if hit[1]:
+                sig.append(hit[0])
+            else:
+                rest.append(hit[0])
+        sig.sort()
+        rest.sort()
+        sig_key = tuple(sig)
+        bucket = buckets.get(sig_key)
+        if bucket is None:
+            bucket = buckets[sig_key] = {}
+        bucket[tuple(rest)] = amp
+    required = [grp.required for grp in circuit.detector_groups]
+    groups_of: dict[int, list[int]] = {}
+    for g, grp in enumerate(circuit.detector_groups):
+        for w in grp.wires:
+            groups_of.setdefault(w, []).append(g)
     outcomes: list[HeraldOutcome] = []
-    for sig, comp in fock.group_by_counts(state, det_wires):
-        counts = dict(sig)
-        if any(sum(counts.get(w, 0) for w in grp.wires) != grp.required
-               for grp in circuit.detector_groups):
+    for sig in sorted(buckets):
+        counts = [0] * len(required)
+        for w, n in sig:
+            for g in groups_of.get(w, ()):
+                counts[g] += n
+        if counts != required:
             continue
+        bucket = buckets[sig]
+        if strays:
+            stray = {w for key in bucket for w, n in key if (w, n) in strays}
+            if stray:
+                raise SimulationError(
+                    f"herald left photons on non-output wires {sorted(stray)}")
+        comp = FockState._adopt(bucket)
         prob = fock.norm2(comp)
-        residual = fock.strip_wires(comp, det_wires)
-        stray = residual.wires() - out_wires
-        if stray:
-            raise SimulationError(
-                f"herald left photons on non-output wires {sorted(stray)}")
-        residual = fock.scale(residual, 1.0 / math.sqrt(prob))
-        outcomes.append(HeraldOutcome(sig, prob, residual))
+        outcomes.append(HeraldOutcome(sig, prob, fock.scale(comp, 1.0 / math.sqrt(prob))))
     return outcomes
 
 

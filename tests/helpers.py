@@ -1,7 +1,8 @@
 """Shared test utilities: creation-polynomial builders over circuit wires,
 the full-propagation reference for heralded outcomes, the naive references
-for ``fock.substitute``, ``fock.relabel``, ``sculpting.hadamard_all`` and
-the feed-forward solver, and small readers of states and circuits.
+for ``fock.ladder``, ``fock.substitute``, ``fock.relabel``,
+``sculpting.hadamard_all`` and the feed-forward solver, and small readers of
+states and circuits.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -68,9 +69,73 @@ def poly_state(p: Poly) -> FockState:
     for m, c in p.items():
         term = FockState.vacuum()
         for w in m:
-            term = fock.create(term, w)
-        out = fock.add_scaled(out, c, term)
+            term = create(term, w)
+        out = add_scaled(out, c, term)
     return out
+
+
+def add_scaled(a: FockState, c: complex, b: FockState) -> FockState:
+    """Termwise a + c*b with dropout of negligible amplitudes."""
+    out = dict(a.terms())
+    for occ, amp in b.terms():
+        out[occ] = out.get(occ, 0.0) + c * amp
+    return FockState(out)
+
+
+def _occ_set(occ, w: int, n: int):
+    items = [(wi, ni) for wi, ni in occ if wi != w]
+    if n:
+        items.append((w, n))
+    items.sort()
+    return tuple(items)
+
+
+def create(state: FockState, w: int) -> FockState:
+    """Reference for ``fock.ladder`` with one creation leg: a†_w, with the
+    sqrt(n+1) factor, one copy of the state per call."""
+    out: dict = {}
+    for occ, amp in state.terms():
+        n = dict(occ).get(w, 0)
+        key = _occ_set(occ, w, n + 1)
+        out[key] = out.get(key, 0.0) + amp * math.sqrt(n + 1)
+    return FockState(out)
+
+
+def annihilate(state: FockState, w: int) -> FockState:
+    """Reference for ``fock.ladder`` with one annihilation leg: a_w, with
+    the sqrt(n) factor; terms with no photon at w vanish."""
+    out: dict = {}
+    for occ, amp in state.terms():
+        n = dict(occ).get(w, 0)
+        if n == 0:
+            continue
+        key = _occ_set(occ, w, n - 1)
+        out[key] = out.get(key, 0.0) + amp * math.sqrt(n)
+    return FockState(out)
+
+
+def apply_operator(state: FockState, legs, kind=annihilate) -> FockState:
+    """Reference for ``fock.ladder``: sum_i c_i op(w_i) as one ``kind`` call
+    per leg, summed with ``add_scaled`` (op defaults to annihilation)."""
+    out = FockState.zero()
+    for w, c in legs:
+        if abs(c) < fock.DROP_TOL:
+            continue
+        out = add_scaled(out, c, kind(state, w))
+    return out
+
+
+def strip_wires(state: FockState, wires) -> FockState:
+    """Drop the given wires from every occupation vector (they must carry a
+    definite, term-independent photon pattern, e.g. after group_by_counts)."""
+    wset = set(wires)
+    out: dict = {}
+    for occ, amp in state.terms():
+        key = tuple((wi, ni) for wi, ni in occ if wi not in wset)
+        if key in out:
+            raise ValueError("stripped wires were entangled with the rest")
+        out[key] = amp
+    return FockState(out)
 
 
 def counts_state(counts: dict[int, int], amp: complex = 1.0) -> FockState:
@@ -113,7 +178,7 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def naive_substitute(state: FockState, rules) -> FockState:
     """Reference for ``fock.substitute``: expands every term's creation
-    monomial multinomially, with no grouping and no use of ``create``.
+    monomial multinomially, with no grouping and no use of ``fock.ladder``.
 
     ``rules[w] = [(w', c'), ...]`` means a†_w -> sum c' a†_{w'}; wires not in
     ``rules`` are untouched.  The substitution is lifted to multi-photon terms
@@ -197,7 +262,7 @@ def reference_outcomes(circuit) -> list[tuple]:
         if all(sum(counts.get(w, 0) for w in grp.wires) == grp.required
                for grp in circuit.detector_groups):
             prob = fock.norm2(comp)
-            residual = fock.strip_wires(comp, det_wires)
+            residual = strip_wires(comp, det_wires)
             out.append((sig, prob, fock.scale(residual, 1.0 / math.sqrt(prob))))
     return out
 

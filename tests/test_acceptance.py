@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import golden_stages as gs
-from helpers import R2, count_elements
+from helpers import R2, add_scaled, count_elements
 from sculpt import bigraph, fock, sim
 from sculpt.analysis import genuine_entanglement, target_state, verify_scheme
 from sculpt.bigraph import ghz, type5, w
@@ -175,16 +175,16 @@ def test_criterion_09_genuineness(reports):
 
 def test_criterion_10_algebra_identities():
     pair = FockState.from_counts({0: 1, 1: 1})
-    plus = fock.apply_operator(pair, [(0, R2), (1, R2)])
-    expect_plus = fock.add_scaled(fock.scale(FockState.from_counts({0: 1}), R2),
-                                  R2, FockState.from_counts({1: 1}))
-    minus = fock.apply_operator(pair, [(0, R2), (1, -R2)])
-    expect_minus = fock.scale(fock.add_scaled(
+    plus = fock.ladder(pair, [(0, R2), (1, R2)])
+    expect_plus = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2),
+                             R2, FockState.from_counts({1: 1}))
+    minus = fock.ladder(pair, [(0, R2), (1, -R2)])
+    expect_minus = fock.scale(add_scaled(
         fock.scale(FockState.from_counts({0: 1}), R2), -R2,
         FockState.from_counts({1: 1})), -1.0)
-    both = fock.apply_operator(plus, [(0, R2), (1, -R2)])
+    both = fock.ladder(plus, [(0, R2), (1, -R2)])
     single = FockState.from_counts({0: 1})
-    twice = fock.annihilate(fock.annihilate(single, 0), 0)
+    twice = fock.ladder(fock.ladder(single, [(0, 1.0)]), [(0, 1.0)])
     ok = (fock.allclose(plus, expect_plus)
           and fock.allclose(minus, expect_minus)
           and both.is_zero() and twice.is_zero())

@@ -42,6 +42,18 @@ def test_internal_state_constructors():
         InternalState(1.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["0", "1", "+", "-"])
+def test_named_states_keep_their_names(name):
+    state = InternalState.named(name)
+    assert state.name == name
+    # a state built afresh, or rotated by less than ATOL, still gets the name
+    assert InternalState(state.alpha, state.beta).name == name
+    t = 0.5 * bigraph.ATOL
+    near = InternalState(state.alpha * math.cos(t) - state.beta * math.sin(t),
+                         state.alpha * math.sin(t) + state.beta * math.cos(t))
+    assert near != state and near.name == name
+
+
 def test_ghz_preset_structure():
     g = ghz(3)
     assert g.n_main == 3 and g.n_ancilla == 0

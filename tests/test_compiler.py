@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from helpers import count_elements
+from helpers import add_scaled, count_elements, strip_wires
 from sculpt import fock
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
 from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, Multiport, Source,
@@ -221,14 +221,14 @@ def test_optimized_block_acts_like_its_dot():
     th = layout.wire(t, "H")
     bv = layout.wire(b, "V")
     # input (a†²_{t,H} - a†²_{b,V})/2: the relevant two-photon content
-    feed = fock.add_scaled(
+    feed = add_scaled(
         fock.scale(FockState.from_counts({th: 2}), 0.5 * math.sqrt(2)),
         -0.5 * math.sqrt(2), FockState.from_counts({bv: 2}))
     outcomes = _isolated_block_outcomes(g, 1, feed)
     assert len(outcomes) == 2
     for sig, comp in outcomes:
         # one photon detected, one survives on the block's return location
-        residual = fock.strip_wires(comp, dict(sig))
+        residual = strip_wires(comp, dict(sig))
         kept = {w for w, _ in next(residual.terms())[0]}
         assert kept <= {layout.wire(t, "H"), layout.wire(t, "V")}
         assert abs(fock.norm2(residual) - 0.25) < 1e-9

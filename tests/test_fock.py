@@ -1,5 +1,6 @@
-"""Ladder algebra, projections, relabeling, substitution against its naive
-reference, and the core boson identities."""
+"""Ladder algebra, projections, relabeling, the ladder kernel and
+substitution against their naive references, and the core boson
+identities."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import inner, naive_relabel, naive_substitute, total_photons
+from helpers import (add_scaled, annihilate, apply_operator, create, inner, naive_relabel,
+                     naive_substitute, total_photons)
 from sculpt import fock
 from sculpt.fock import FockState
 
@@ -18,79 +20,103 @@ def ket(**counts) -> FockState:
     return FockState.from_counts({int(k[1:]): v for k, v in counts.items()})
 
 
+def up(state: FockState, w: int) -> FockState:
+    return fock.ladder(state, [(w, 1.0)], create=True)
+
+
+def down(state: FockState, w: int) -> FockState:
+    return fock.ladder(state, [(w, 1.0)])
+
+
 def test_create_on_vacuum():
-    s = fock.create(FockState.vacuum(), 0)
+    s = up(FockState.vacuum(), 0)
     assert fock.allclose(s, ket(w0=1))
 
 
 def test_create_sqrt_factor():
-    s = fock.create(ket(w0=1), 0)
+    s = up(ket(w0=1), 0)
     assert abs(s.amplitude({0: 2}) - math.sqrt(2)) < 1e-12
 
 
 def test_create_distinct_wires_commute():
-    a = fock.create(fock.create(FockState.vacuum(), 0), 1)
-    b = fock.create(fock.create(FockState.vacuum(), 1), 0)
+    a = up(up(FockState.vacuum(), 0), 1)
+    b = up(up(FockState.vacuum(), 1), 0)
     assert fock.allclose(a, b)
     assert fock.allclose(a, ket(w0=1, w1=1))
 
 
 def test_annihilate_vacuum_is_zero():
-    assert fock.annihilate(FockState.vacuum(), 3).is_zero()
+    assert down(FockState.vacuum(), 3).is_zero()
 
 
 def test_annihilate_twice_single_photon():
-    s = fock.annihilate(fock.annihilate(ket(w0=1), 0), 0)
+    s = down(down(ket(w0=1), 0), 0)
     assert s.is_zero()
 
 
 def test_plus_subtraction_on_pair():
     # (a_0 + a_1)/r2 applied to a0† a1† |vac> leaves (a1† + a0†)/r2.
     pair = ket(w0=1, w1=1)
-    out = fock.apply_operator(pair, [(0, R2), (1, R2)])
-    expect = fock.add_scaled(fock.scale(ket(w1=1), R2), R2, ket(w0=1))
+    out = fock.ladder(pair, [(0, R2), (1, R2)])
+    expect = add_scaled(fock.scale(ket(w1=1), R2), R2, ket(w0=1))
     assert fock.allclose(out, expect)
 
 
 def test_minus_subtraction_gives_minus_state():
     # (a_0 - a_1)/r2 on the pair = -(a0† - a1†)/r2.
     pair = ket(w0=1, w1=1)
-    out = fock.apply_operator(pair, [(0, R2), (1, -R2)])
-    expect = fock.add_scaled(fock.scale(ket(w0=1), -R2), R2, ket(w1=1))
+    out = fock.ladder(pair, [(0, R2), (1, -R2)])
+    expect = add_scaled(fock.scale(ket(w0=1), -R2), R2, ket(w1=1))
     assert fock.allclose(out, expect)
 
 
 def test_plus_then_minus_annihilates_pair():
     pair = ket(w0=1, w1=1)
-    out = fock.apply_operator(pair, [(0, R2), (1, -R2)])
-    out = fock.apply_operator(out, [(0, R2), (1, R2)])
+    out = fock.ladder(pair, [(0, R2), (1, -R2)])
+    out = fock.ladder(out, [(0, R2), (1, R2)])
     assert out.is_zero()
 
 
 def test_double_subtraction_of_single_boson_vanishes():
     # a^n on a singly occupied wire is zero for n > 1.
     one = ket(w0=1)
-    out = fock.annihilate(fock.annihilate(one, 0), 0)
+    out = down(down(one, 0), 0)
     assert out.is_zero()
-    out2 = fock.apply_operator(fock.apply_operator(one, [(0, 1.0)]), [(0, 1.0)])
+    out2 = fock.ladder(fock.ladder(one, [(0, 1.0)]), [(0, 1.0)])
     assert out2.is_zero()
+
+
+def test_ladder_legs_on_one_wire_add_up_and_cancel():
+    s = ket(w0=2, w1=1)
+    twice = fock.ladder(s, [(0, 0.25), (1, 0.5), (0, 0.75)])
+    assert fock.allclose(twice, fock.ladder(s, [(0, 1.0), (1, 0.5)]))
+    assert fock.ladder(s, [(0, 1.0), (0, -1.0)], create=True).is_zero()
+
+
+def test_ladder_skips_negligible_legs():
+    # a leg below DROP_TOL acts as no leg at all, in both directions, even
+    # where its product with a large amplitude would be kept
+    s = FockState.from_counts({0: 1, 1: 1}, 1e3)
+    assert dict(fock.ladder(s, [(0, 0.0), (1, 1e-13)]).terms()) == {}
+    assert dict(fock.ladder(s, [(0, 1.0), (1, 1e-13)], create=True).terms()) == {
+        ((0, 2), (1, 1)): 1e3 * math.sqrt(2)}
 
 
 def test_add_scaled_zero_scale():
     s = ket(w0=1)
     t = ket(w1=2)
-    assert fock.allclose(fock.add_scaled(s, 0.0, t), s)
+    assert fock.allclose(add_scaled(s, 0.0, t), s)
 
 
 def test_add_scaled_cancellation():
-    s = fock.add_scaled(ket(w0=1), 1.0, ket(w1=1))
-    assert fock.add_scaled(s, -1.0, s).is_zero()
+    s = add_scaled(ket(w0=1), 1.0, ket(w1=1))
+    assert add_scaled(s, -1.0, s).is_zero()
 
 
 def test_inner_orthogonality_and_norm():
     assert inner(ket(w0=1), ket(w1=1)) == 0
     assert abs(inner(ket(w0=2), ket(w0=2)) - 1.0) < 1e-12
-    s = fock.add_scaled(ket(w0=1), 1j, ket(w1=1))
+    s = add_scaled(ket(w0=1), 1j, ket(w1=1))
     assert abs(fock.norm2(s) - 2.0) < 1e-12
 
 
@@ -101,7 +127,7 @@ def test_project_count_simple():
 
 
 def test_project_count_empty_wire_set():
-    s = fock.add_scaled(ket(w0=1), 0.5, ket(w1=2))
+    s = add_scaled(ket(w0=1), 0.5, ket(w1=2))
     comp, p = fock.project_count(s, set(), 0)
     assert fock.allclose(comp, s)
     assert abs(p - fock.norm2(s)) < 1e-12
@@ -111,7 +137,7 @@ def test_project_count_tap_step():
     # (a†²_0 - a†²_1)/2 with exactly one photon on the tap wire 1 keeps
     # nothing; moving one photon 0->1 first models the tap-off and keeps
     # the cross term only.
-    bunch = fock.add_scaled(fock.scale(ket(w0=2), 0.5 * math.sqrt(2)), -0.5 * math.sqrt(2), ket(w1=2))
+    bunch = add_scaled(fock.scale(ket(w0=2), 0.5 * math.sqrt(2)), -0.5 * math.sqrt(2), ket(w1=2))
     # split each two-photon bunch across (0,1)/(2,3) as (x+y)^2/2
     split = fock.substitute(bunch, {0: ((0, R2), (1, R2)), 1: ((2, R2), (3, R2))})
     comp, p = fock.project_count(split, {1, 3}, 1)
@@ -122,7 +148,7 @@ def test_project_count_tap_step():
 
 
 def test_relabel_identity_and_roundtrip():
-    s = fock.add_scaled(ket(w0=1, w1=2), 0.3j, ket(w2=1))
+    s = add_scaled(ket(w0=1, w1=2), 0.3j, ket(w2=1))
     assert fock.allclose(fock.relabel(s, {}), s)
     perm = {0: 2, 2: 0}
     back = fock.relabel(fock.relabel(s, perm), perm)
@@ -142,10 +168,8 @@ def test_relabel_rejects_non_permutation():
 
 
 def test_tensor_multiplies_amplitudes_and_drops_the_negligible():
-    a = fock.add_scaled(FockState.from_counts({0: 1}, 0.6), 1e-7,
-                        FockState.from_counts({1: 2}))
-    b = fock.add_scaled(FockState.from_counts({2: 1}, 0.8j), 1e-6,
-                        FockState.from_counts({3: 1}))
+    a = add_scaled(FockState.from_counts({0: 1}, 0.6), 1e-7, FockState.from_counts({1: 2}))
+    b = add_scaled(FockState.from_counts({2: 1}, 0.8j), 1e-6, FockState.from_counts({3: 1}))
     out = fock.tensor(a, b)
     assert dict(out.terms()) == {((0, 1), (2, 1)): 0.6 * 0.8j, ((0, 1), (3, 1)): 0.6e-6,
                                  ((1, 2), (2, 1)): 0.8e-7j}
@@ -153,7 +177,7 @@ def test_tensor_multiplies_amplitudes_and_drops_the_negligible():
 
 
 def test_substitute_preserves_norm_and_photons():
-    s = fock.add_scaled(ket(w0=2, w1=1), 0.5, ket(w1=3))
+    s = add_scaled(ket(w0=2, w1=1), 0.5, ket(w1=3))
     u = {0: ((0, R2), (1, R2)), 1: ((0, R2), (1, -R2))}
     out = fock.substitute(s, u)
     assert abs(fock.norm2(out) - fock.norm2(s)) < 1e-9
@@ -188,16 +212,16 @@ def small_states(draw):
 @given(small_states(), wires)
 @settings(max_examples=60, deadline=None)
 def test_canonical_commutator(s, w):
-    lhs = fock.annihilate(fock.create(s, w), w)
-    rhs = fock.create(fock.annihilate(s, w), w)
-    assert fock.allclose(fock.add_scaled(lhs, -1.0, rhs), s)
+    lhs = down(up(s, w), w)
+    rhs = up(down(s, w), w)
+    assert fock.allclose(add_scaled(lhs, -1.0, rhs), s)
 
 
 @given(small_states(), wires)
 @settings(max_examples=60, deadline=None)
 def test_ladder_number_identity(s, w):
     # <s|a a†|s> = <s|(n+1)|s>
-    created = fock.create(s, w)
+    created = up(s, w)
     lhs = inner(created, created)
     rhs = sum(abs(amp) ** 2 * (dict(occ).get(w, 0) + 1) for occ, amp in s.terms())
     assert abs(lhs - rhs) < 1e-9
@@ -244,6 +268,22 @@ def test_substitute_matches_naive_reference(s, rules):
     assert fock.allclose(fock.substitute(s, rules), expect, atol=fock.ATOL * scale)
 
 
+@st.composite
+def ladder_legs(draw):
+    """1-5 legs on the wires 0..5, repeats allowed; coefficients are
+    ordinary, exactly zero or below DROP_TOL."""
+    coeff = st.one_of(coeffs, st.just(0j), st.complex_numbers(max_magnitude=1e-13))
+    return draw(st.lists(st.tuples(st.integers(0, 5), coeff), min_size=1, max_size=5))
+
+
+@given(sparse_states(), ladder_legs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_ladder_matches_per_leg_reference(s, legs, create_):
+    expect = apply_operator(s, legs, create if create_ else annihilate)
+    scale = max([1.0] + [abs(a) for _, a in expect.terms()])
+    assert fock.allclose(fock.ladder(s, legs, create=create_), expect, atol=1e-12 * scale)
+
+
 @given(small_states())
 @settings(max_examples=40, deadline=None)
 def test_projection_partition_reconstructs(s):
@@ -254,7 +294,7 @@ def test_projection_partition_reconstructs(s):
     mass = 0.0
     for n in range(0, 8):
         comp, p = fock.project_count(s, group, n)
-        total = fock.add_scaled(total, 1.0, comp)
+        total = add_scaled(total, 1.0, comp)
         mass += p
     assert fock.allclose(total, s)
     assert abs(mass - fock.norm2(s)) < 1e-9
@@ -276,6 +316,15 @@ def test_rationalize():
     # odd factors other than powers of three: the n of the W closed forms
     assert fock.rationalize(1 / (5 * 2 ** 14)) == "1/81920"    # W 5 P_no_ff
     assert fock.rationalize(1 / (7 * 2 ** 20)) == "1/7340032"  # W 7 P_no_ff
+
+
+def test_rationalize_repeats_its_answers():
+    for p in (0.03125, 5.0 / 1152.0, 0.1234567, 1e-12, 0.0):
+        first = fock.rationalize(p)
+        hits = fock.rationalize.cache_info().hits
+        assert [fock.rationalize(p) for _ in range(3)] == [first] * 3
+        assert fock.rationalize.cache_info().hits == hits + 3
+    assert fock.rationalize(0.1234567) is None
 
 
 @st.composite

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import naive_hadamard_all, total_photons
+from helpers import add_scaled, create, naive_hadamard_all, total_photons
 from sculpt import bigraph, fock
 from sculpt.analysis import oracle_qubit_state
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
@@ -25,10 +25,8 @@ def plus_minus_state(table: dict, signs: str, coeff: complex) -> FockState:
     for j, s in enumerate(signs, start=1):
         w0 = table[(str(j), 0)]
         w1 = table[(str(j), 1)]
-        plus = fock.add_scaled(fock.scale(fock.create(out, w0), R2), R2,
-                               fock.create(out, w1))
-        minus = fock.add_scaled(fock.scale(fock.create(out, w0), R2), -R2,
-                                fock.create(out, w1))
+        plus = add_scaled(fock.scale(create(out, w0), R2), R2, create(out, w1))
+        minus = add_scaled(fock.scale(create(out, w0), R2), -R2, create(out, w1))
         out = plus if s == "+" else minus
     return fock.scale(out, coeff)
 
@@ -59,8 +57,8 @@ def test_ghz_sculpting_closed_form():
         g = ghz(n)
         table = oracle_wires(g)
         out = apply_sculpting(g, table=table)
-        expect = fock.add_scaled(plus_minus_state(table, "+" * n, 1.0), 1.0,
-                                 plus_minus_state(table, "-" * n, 1.0))
+        expect = add_scaled(plus_minus_state(table, "+" * n, 1.0), 1.0,
+                            plus_minus_state(table, "-" * n, 1.0))
         expect = fock.scale(expect, 1.0 / math.sqrt(2.0 ** n))
         assert fock.allclose(out, expect)
         assert abs(fock.norm2(out) - 2.0 / 2 ** n) < 1e-9
@@ -74,7 +72,7 @@ def test_w_sculpting_closed_form():
         expect = FockState.zero()
         for k in range(1, n + 1):
             signs = "".join("-" if j == k else "+" for j in range(1, n + 1))
-            expect = fock.add_scaled(expect, 1.0, plus_minus_state(table, signs, 1.0))
+            expect = add_scaled(expect, 1.0, plus_minus_state(table, signs, 1.0))
         expect = fock.scale(expect, -1.0 / math.sqrt(2.0 ** n * n))
         assert fock.allclose(out, expect)
         assert abs(fock.norm2(out) - 1.0 / 2 ** n) < 1e-9
@@ -86,8 +84,8 @@ def test_type5_sculpting_closed_form():
     out = apply_sculpting(g, table=table)
     expect = FockState.zero()
     for signs in ("+++", "-++", "-+-", "--+", "---"):
-        expect = fock.add_scaled(expect, 1.0 / 12.0,
-                                 plus_minus_state(table, signs, 1.0))
+        expect = add_scaled(expect, 1.0 / 12.0,
+                            plus_minus_state(table, signs, 1.0))
     assert fock.allclose(out, expect)
     assert abs(fock.norm2(out) - 5.0 / 144.0) < 1e-9
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (assert_same_outcomes, naive_solve_correction,
+from helpers import (add_scaled, assert_same_outcomes, naive_solve_correction,
                      reference_outcomes, signature_distribution, total_photons)
 from sculpt import bigraph, fock, sim
 from sculpt.bigraph import ghz, w
@@ -30,7 +30,7 @@ def test_hwp_turns_pair_into_bunches():
     # a†_H a†_V -> a†_D a†_A = (a†²_H - a†²_V)/2
     state = FockState.from_counts({0: 1, 1: 1})
     out = sim.apply_element(state, HWP("a", 0, 1))
-    expect = fock.add_scaled(
+    expect = add_scaled(
         fock.scale(FockState.from_counts({0: 2}), 0.5 * math.sqrt(2)),
         -0.5 * math.sqrt(2), FockState.from_counts({1: 2}))
     assert fock.allclose(out, expect)
@@ -38,8 +38,8 @@ def test_hwp_turns_pair_into_bunches():
 
 def test_uhwp_on_diagonal_photon():
     # a†_D -> a†_V under the rotated plate
-    state = fock.add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), R2,
-                            FockState.from_counts({1: 1}))
+    state = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), R2,
+                       FockState.from_counts({1: 1}))
     out = sim.apply_element(state, UHWP("a", 0, 1))
     assert fock.allclose(out, FockState.from_counts({1: 1}))
 
@@ -59,12 +59,12 @@ def test_pbs_convention():
 def test_balanced_splitter_convention():
     el = Multiport(((0,), (1,)))
     out = sim.apply_element(FockState.from_counts({0: 1}), el)
-    expect = fock.add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), R2,
-                             FockState.from_counts({1: 1}))
+    expect = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), R2,
+                        FockState.from_counts({1: 1}))
     assert fock.allclose(out, expect)
     out1 = sim.apply_element(FockState.from_counts({1: 1}), el)
-    expect1 = fock.add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), -R2,
-                              FockState.from_counts({1: 1}))
+    expect1 = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), -R2,
+                         FockState.from_counts({1: 1}))
     assert fock.allclose(out1, expect1)
 
 
@@ -304,6 +304,28 @@ def test_zero_photon_source():
                 [DetectorGroup(0, (1,), 1)], outputs=[0, 2, 3], output_modes=[])
     outcomes = sim.run_heralded(c)
     assert len(outcomes) == 1 and abs(outcomes[0].probability - 0.5) < 1e-12
+    assert_same_outcomes(outcomes, reference_outcomes(c))
+
+
+def test_stray_photon_in_an_accepted_signature_raises():
+    # the photon on wire 1 is swapped onto circuit wire 3, which is neither
+    # a detector nor an output; storage wire 1 is an output
+    c = Circuit(_wires(4), [Source(0, 1), Source(1, 1), Swap(((1, 3), (3, 1)))],
+                [DetectorGroup(0, (0,), 1)], outputs=[1, 2], output_modes=[])
+    with pytest.raises(sim.SimulationError, match=r"non-output wires \[3\]"):
+        sim.run_heralded(c)
+
+
+def test_stray_photon_in_a_rejected_signature_is_dropped():
+    # the filter, placed after the source, fixes the count on {0, 1} only;
+    # the branch that leaves the photon on wire 1, off the outputs, misses
+    # the detector and is rejected by the final count check, not raised
+    c = Circuit(_wires(4), [Source(0, 1), Multiport(((0,), (1,)))],
+                [DetectorGroup(0, (0,), 1)], outputs=[2, 3], output_modes=[])
+    assert sim._herald_schedule(c) == {0: [(c.detector_groups[0], {0, 1})]}
+    outcomes = sim.run_heralded(c)
+    assert [oc.pattern for oc in outcomes] == [((0, 1),)]
+    assert abs(outcomes[0].probability - 0.5) < 1e-12
     assert_same_outcomes(outcomes, reference_outcomes(c))
 
 
