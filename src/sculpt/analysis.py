@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class SchemeReport:
     min_corrected_fidelity: float
     genuine: bool
     runtime_s: float
-    notes: list[str] = field(default_factory=list)
 
     def lines(self) -> list[str]:
         fr_ff = fock.rationalize(self.p_with_ff) or f"{self.p_with_ff:.3e}"
@@ -142,7 +141,6 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int,
                   atol: float = 1e-9) -> SchemeReport:
     """Full pipeline check: oracle, compile, simulate, classify, probe."""
     t0 = time.perf_counter()
-    notes: list[str] = []
     epm = is_epm(g)
     table = oracle_wires(g)
     final = apply_sculpting(g, table=table)
@@ -151,8 +149,6 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int,
     oracle_q = _read_qubits(g, final, table)
     target = target_state(kind, n)
     fid_ot = fidelity(oracle_q, target)
-    if fid_ot < 1.0 - atol:
-        notes.append("oracle state does not match the named target")
 
     outcomes = sim.run_heralded(circuit, check=False)
     classified = sim.classify_feedforward(outcomes, oracle_q, circuit, atol=atol)
@@ -161,8 +157,6 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int,
     corr = [oc for oc in classified if oc.correction is not None]
     min_fid = min((oc.corrected_fidelity for oc in corr), default=0.0)
     genuine = genuine_entanglement(oracle_q)
-    if len(corr) != len(classified):
-        notes.append(f"{len(classified) - len(corr)} outcomes not correctable")
     return SchemeReport(kind, n, epm, nb, fid_ot, p_ff, p_no,
                         len(classified), len(corr), min_fid, genuine,
-                        time.perf_counter() - t0, notes)
+                        time.perf_counter() - t0)

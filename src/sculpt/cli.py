@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -257,7 +258,11 @@ def cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    each ``parse_args`` fills a fresh namespace, so no call sees another's
+    values."""
     p = argparse.ArgumentParser(prog="sculpt",
                                 description="compile and simulate heralded "
                                             "entanglement-generation circuits")

@@ -245,17 +245,21 @@ def allclose(a: FockState, b: FockState, atol: float = ATOL) -> bool:
     return all(abs(a._terms.get(k, 0.0) - b._terms.get(k, 0.0)) <= atol for k in keys)
 
 
+_MAX_NUM = 2 ** 16
+_MAX_ODD = 81
+_RTOL = 1e-9
+
+
 @functools.lru_cache(maxsize=256)
-def rationalize(p: float, max_num: int = 2 ** 16, max_odd: int = 81,
-                rtol: float = 1e-9) -> str | None:
+def rationalize(p: float) -> str | None:
     """Render a probability as an exact fraction n / (d 2^k), d odd, if one
     fits.
 
     Returns e.g. "1/32", "5/1152" or "1/81920", or None when no such
-    fraction with d <= ``max_odd`` lies within ``rtol`` of p, relative to
-    p.  The default bound covers 3^m up to 81 and the factor n of the W
-    closed forms.  The power of two grows until the numerator would pass
-    ``max_num``, so the tiny probabilities of large schemes render as
+    fraction with d <= ``_MAX_ODD`` lies within ``_RTOL`` of p, relative to
+    p.  The bound covers 3^m up to 81 and the factor n of the W closed
+    forms.  The power of two grows until the numerator would pass
+    ``_MAX_NUM``, so the tiny probabilities of large schemes render as
     exactly as the small ones, and a tiny p is never rounded to "0".  Raw
     floats remain the source of truth; this is for human-readable reports
     only.  Memoized: a report repeats a few distinct probabilities many
@@ -263,19 +267,19 @@ def rationalize(p: float, max_num: int = 2 ** 16, max_odd: int = 81,
     """
     if p == 0:
         return "0"
-    if p < 0 or p > 1 + rtol:
+    if p < 0 or p > 1 + _RTOL:
         return None
     best: tuple[int, int] | None = None
-    for odd in range(1, max_odd + 1, 2):
-        # Largest power of two keeping p * den <= max_num.  A fraction that
+    for odd in range(1, _MAX_ODD + 1, 2):
+        # Largest power of two keeping p * den <= _MAX_NUM.  A fraction that
         # fits at a smaller power also fits here, with num and den scaled by
         # the same power of two, so this one test per odd factor suffices.
-        k = math.frexp(max_num / (p * odd))[1] - 1
+        k = math.frexp(_MAX_NUM / (p * odd))[1] - 1
         if k < 0:
             break
         den = odd << k
         num = round(p * den)
-        if abs(p - num / den) <= rtol * p:
+        if abs(p - num / den) <= _RTOL * p:
             g = math.gcd(num, den)
             if best is None or den // g < best[1]:
                 best = (num // g, den // g)

@@ -2,18 +2,19 @@
 
 The propagated state is held sparsely; every element is either a wire
 permutation or a linear substitution on creation operators, so propagation
-is exact up to floating point.  The state is a product of factors, each a
-sparse state on a disjoint set of wires: a source, wave plate or multiport
-first merges, by tensor product, the factors that own its wires and then
-acts on that one factor.  Wire permutations touch no term: they update a
-map from circuit wire to storage wire, through which later elements and
-filters read their wires.  One pass over the final state maps the wires
-back and buckets the terms by their detector-wire occupation signature:
-each signature that meets every detector group's required count becomes
-one outcome with an exact conditional residual state and probability.
-Each group's count filter is projected, on the factor that holds its
-wires, as soon as its subtractor's herald is fixed, so rejected branches
-are not carried through the rest of the circuit.
+is exact up to floating point.  Permutations touch no term: one backward
+pass drops them and moves every other element onto the circuit wires that
+the permutations after it carry its wires to, so the state, each filter and
+the final outcomes are keyed by final circuit wires throughout.  The state
+is a product of factors, each a sparse state on a disjoint set of wires: a
+source, wave plate or multiport first merges, by tensor product, the
+factors that own its wires and then acts on that one factor.  One pass over
+the final state buckets the terms by their detector-wire occupation
+signature: each signature that meets every detector group's required count
+becomes one outcome with an exact conditional residual state and
+probability.  Each group's count filter is projected, on the factor that
+holds its wires, as soon as its subtractor's herald is fixed, so rejected
+branches are not carried through the rest of the circuit.
 
 Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
@@ -28,6 +29,7 @@ import cmath
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -100,17 +102,37 @@ def apply_element(state: FockState, el) -> FockState:
     raise SimulationError(f"unknown element {el!r}")
 
 
-def _moved(el, where: dict[int, int]):
-    """A non-permutation element moved onto the storage wires that hold its
-    circuit wires."""
+def _moved(el, to: dict[int, int]):
+    """A non-permutation element moved onto the wires ``to`` maps its wires
+    to (a wire not in ``to`` stays)."""
     if isinstance(el, Source):
-        return Source(where.get(el.wire, el.wire), el.photons, el.stage)
+        return Source(to.get(el.wire, el.wire), el.photons, el.stage)
     if isinstance(el, (HWP, UHWP)):
-        return type(el)(el.mode, where.get(el.h, el.h), where.get(el.v, el.v), el.stage)
+        return type(el)(el.mode, to.get(el.h, el.h), to.get(el.v, el.v), el.stage)
     if isinstance(el, Multiport):
-        return Multiport(tuple(tuple(where.get(w, w) for w in grp) for grp in el.ports),
+        return Multiport(tuple(tuple(to.get(w, w) for w in grp) for grp in el.ports),
                          el.stage)
     raise SimulationError(f"unknown element {el!r}")
+
+
+def _on_final_wires(circuit: Circuit) -> list:
+    """The circuit's non-permutation elements, in order, each moved onto the
+    circuit wires that the permutations after it carry its wires to.
+
+    Walking backward, ``final`` maps a wire at the current point to the
+    circuit wire its photons end on; a permutation src -> dst updates it and
+    is dropped.  Propagating the list leaves every photon where the whole
+    circuit would."""
+    final: dict[int, int] = {}
+    folded = []
+    for el in reversed(circuit.elements):
+        perm = _permutation(el)
+        if perm is None:
+            folded.append(_moved(el, final))
+        else:
+            final.update({src: final.get(dst, dst) for src, dst in perm.items()})
+    folded.reverse()
+    return folded
 
 
 def _merge(owner: dict[int, tuple[FockState, frozenset[int]]],
@@ -142,9 +164,11 @@ class HeraldOutcome:
     identity: bool = False
 
 
-def _herald_schedule(circuit: Circuit) -> dict[int, list[tuple[DetectorGroup, set[int]]]]:
-    """Element index -> the (detector group, wire set) count filters to
-    project right after that element.
+def _herald_schedule(circuit: Circuit,
+                     elements: Sequence) -> dict[int, list[tuple[DetectorGroup, set[int]]]]:
+    """Index into ``elements``, the circuit on its final wires (see
+    :func:`_on_final_wires`) -> the (detector group, wire set) count filters
+    to project right after that element.
 
     Walking the elements backward, a group's filter set is the union of the
     wire components, linked by the elements after the current one, that hold
@@ -160,7 +184,7 @@ def _herald_schedule(circuit: Circuit) -> dict[int, list[tuple[DetectorGroup, se
     linked: dict[int, set[int]] = {}
     pending = list(circuit.detector_groups)
     earliest: dict[DetectorGroup, tuple[int, set[int]]] = {}
-    for i in range(len(circuit.elements) - 1, -1, -1):
+    for i in range(len(elements) - 1, -1, -1):
         usable = []
         for grp in pending:
             span = set(grp.wires).union(*(linked.get(w, ()) for w in grp.wires))
@@ -170,7 +194,7 @@ def _herald_schedule(circuit: Circuit) -> dict[int, list[tuple[DetectorGroup, se
         pending = usable
         if not pending:
             break
-        el = circuit.elements[i]
+        el = elements[i]
         if isinstance(el, Source):
             barrier.add(el.wire)
         wires = el.wires_used()
@@ -200,76 +224,45 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
         diags = validate(circuit)
         if diags:
             raise SimulationError("invalid circuit: " + "; ".join(diags))
-    schedule = _herald_schedule(circuit)
-    # where[c] is the storage wire that holds circuit wire c; a permutation
-    # element updates it instead of re-keying any term.  owner[s] is the
-    # factor, a (state, wires) pair, that holds storage wire s; factors hold
-    # disjoint wires, and a wire no factor holds is in vacuum.
-    where: dict[int, int] = {}
+    elements = _on_final_wires(circuit)
+    schedule = _herald_schedule(circuit, elements)
+    # owner[w] is the factor, a (state, wires) pair, that holds wire w;
+    # factors hold disjoint wires, and a wire no factor holds is in vacuum.
     owner: dict[int, tuple[FockState, frozenset[int]]] = {}
-    for i, el in enumerate(circuit.elements):
-        perm = _permutation(el)
-        if perm is not None:
-            where.update({dst: where.get(src, src) for src, dst in perm.items()})
-        else:
-            moved = _moved(el, where)
-            state, wires = _merge(owner, moved.wires_used())
-            owner.update(dict.fromkeys(wires, (apply_element(state, moved), wires)))
+    for i, el in enumerate(elements):
+        state, wires = _merge(owner, el.wires_used())
+        owner.update(dict.fromkeys(wires, (apply_element(state, el), wires)))
         for grp, span in schedule.get(i, ()):
-            stored = [where.get(w, w) for w in span]
-            state, wires = _merge(owner, stored)
-            state, _ = fock.project_count(state, stored, grp.required)
+            state, wires = _merge(owner, span)
+            state, _ = fock.project_count(state, span, grp.required)
             if state.is_zero():
                 return []
             owner.update(dict.fromkeys(wires, (state, wires)))
     state, _ = _merge(owner, list(owner))
-    return _outcomes(state, circuit, where)
+    return _outcomes(state, circuit)
 
 
-def _outcomes(state: FockState, circuit: Circuit,
-              where: dict[int, int]) -> list[HeraldOutcome]:
-    """Sort the final state, held on storage wires, into heralded outcomes
-    in one pass over its terms.
+def _outcomes(state: FockState, circuit: Circuit) -> list[HeraldOutcome]:
+    """Sort the final state into heralded outcomes in one pass over its
+    terms.
 
-    Each distinct (storage wire, count) pair is mapped once, through the
-    inverse of ``where``, to its circuit wire, and marked as a detector pair
-    or not; a pair on neither a detector nor an output is noted as stray.  A
-    term is bucketed by its detector signature and keyed by the rest of its
-    pairs; the two together give back the occupation, so no two terms of a
-    bucket collide.  A signature is accepted when every group's detector
-    count equals its required count.  The filters placed during propagation
-    do not make this check redundant: each fixes the count on its whole
-    span, which may hold wires that are neither detectors nor outputs.  A
-    stray photon raises only in an accepted signature.
+    A term is bucketed by its detector signature, its detector pairs, and
+    keyed by the rest of its pairs; both stay sorted, and the two together
+    give back the occupation, so no two terms of a bucket collide.  A
+    signature is accepted when every group's detector count equals its
+    required count.  The filters placed during propagation do not make this
+    check redundant: each fixes the count on its whole span, which may hold
+    wires that are neither detectors nor outputs.  A photon on such a wire
+    raises only in an accepted signature.
     """
-    back = {s: c for c, s in where.items()}
     detectors = circuit.detector_wires()
-    outputs = set(circuit.outputs)
-    # (storage wire, count) -> (circuit pair, on a detector)
-    pairs: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
-    strays: set[tuple[int, int]] = set()
-    buckets: dict[fock.Occupation, dict[fock.Occupation, complex]] = {}
+    buckets: dict[fock.Occupation, dict[fock.Occupation, complex]] = defaultdict(dict)
     for occ, amp in state.terms():
         sig = []
         rest = []
         for pair in occ:
-            hit = pairs.get(pair)
-            if hit is None:
-                c = back.get(pair[0], pair[0])
-                hit = pairs[pair] = ((c, pair[1]), c in detectors)
-                if not hit[1] and c not in outputs:
-                    strays.add(hit[0])
-            if hit[1]:
-                sig.append(hit[0])
-            else:
-                rest.append(hit[0])
-        sig.sort()
-        rest.sort()
-        sig_key = tuple(sig)
-        bucket = buckets.get(sig_key)
-        if bucket is None:
-            bucket = buckets[sig_key] = {}
-        bucket[tuple(rest)] = amp
+            (sig if pair[0] in detectors else rest).append(pair)
+        buckets[tuple(sig)][tuple(rest)] = amp
     required = [grp.required for grp in circuit.detector_groups]
     groups_of: dict[int, list[int]] = {}
     for g, grp in enumerate(circuit.detector_groups):
@@ -284,11 +277,9 @@ def _outcomes(state: FockState, circuit: Circuit,
         if counts != required:
             continue
         bucket = buckets[sig]
-        if strays:
-            stray = {w for key in bucket for w, n in key if (w, n) in strays}
-            if stray:
-                raise SimulationError(
-                    f"herald left photons on non-output wires {sorted(stray)}")
+        stray = {w for key in bucket for w, _ in key}.difference(circuit.outputs)
+        if stray:
+            raise SimulationError(f"herald left photons on non-output wires {sorted(stray)}")
         comp = FockState._adopt(bucket)
         prob = fock.norm2(comp)
         outcomes.append(HeraldOutcome(sig, prob, fock.scale(comp, 1.0 / math.sqrt(prob))))
@@ -381,20 +372,17 @@ def _phase_solutions(rows: list[np.ndarray], angles: np.ndarray, n: int):
 
 class _CorrectionPlan:
     """Everything :meth:`solve` needs of one target that does not depend on
-    the residuals: the normalized target, its support and off-support, the
-    bit table and the rows of the phase equations.  Built once per target."""
+    the residuals: the normalized target's support, its amplitudes and bits
+    there, and the rows of the phase equations.  Built once per target."""
 
     def __init__(self, target: QubitState) -> None:
-        self.t = target.normalized().amps
+        t = target.normalized().amps
         self.n = n = target.n_qubits
-        self.index = np.arange(self.t.size)
-        self.supp = np.flatnonzero(np.abs(self.t) > 1e-10)
-        self.off_supp = np.flatnonzero(np.abs(self.t) <= 1e-10)
-        self.t_supp = self.t[self.supp]
+        self.supp = np.flatnonzero(np.abs(t) > 1e-10)
+        self.t_supp = t[self.supp]
         self.abs_t_supp = np.abs(self.t_supp)
-        self.all_bits = ((self.index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
-        bits = self.all_bits[self.supp]
-        self.rows = list(bits[1:] - bits[0])
+        self.bits = ((self.supp[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
+        self.rows = list(self.bits[1:] - self.bits[0])
 
     def solve(self, amps: np.ndarray,
               atol: float) -> list[tuple[tuple[str, ...], float] | None]:
@@ -402,33 +390,38 @@ class _CorrectionPlan:
 
         Walks the bit-flip masks once, in increasing order, testing every
         still-unresolved row at each; a row takes the first mask and the
-        first phase solution there whose fidelity is >= 1 - atol.
+        first phase solution there whose fidelity is >= 1 - atol.  Only the
+        support columns ``supp ^ mask`` are read: a row is nil off them when
+        they hold all of its entries above 1e-7, and a diagonal phase keeps
+        the unit norm, so the fidelity is |t_supp . corrected|^2.
         """
-        if amps.shape[1] != self.t.size:
+        if amps.shape[1] != 2 ** self.n:
             raise ValueError("qubit counts differ")
         found: list[tuple[tuple[str, ...], float] | None] = [None] * len(amps)
         mags = np.abs(amps)
+        big = np.count_nonzero(mags > 1e-7, axis=1)
         unresolved = np.ones(len(amps), dtype=bool)
         pending = np.flatnonzero(unresolved)
         for a_mask in range(2 ** self.n):
             if not pending.size:
                 break
-            gap = np.abs(mags[pending[:, None], self.supp ^ a_mask] - self.abs_t_supp)
-            cand = pending[~np.any(gap > 1e-7, axis=1)]
-            cand = cand[~np.any(mags[cand[:, None], self.off_supp ^ a_mask] > 1e-7, axis=1)]
+            cols = self.supp ^ a_mask
+            on_supp = mags[pending[:, None], cols]
+            fits = ~np.any(np.abs(on_supp - self.abs_t_supp) > 1e-7, axis=1)
+            fits &= np.count_nonzero(on_supp > 1e-7, axis=1) == big[pending]
+            cand = pending[fits]
             if not cand.size:
                 continue
-            perm = amps[cand[:, None], self.index ^ a_mask]
-            q = np.angle(self.t_supp / perm[:, self.supp])
+            perm = amps[cand[:, None], cols]
+            q = np.angle(self.t_supp / perm)
             hit = np.zeros(cand.size, dtype=bool)
             for consistent, x in _phase_solutions(self.rows, _wrap(q[:, 1:] - q[:, :1]).T,
                                                   self.n):
                 live = np.flatnonzero(consistent & ~hit)
                 if not live.size:
                     break
-                corrected = np.exp(1j * (x[live] @ self.all_bits.T)) * perm[live]
-                fid = (np.abs(np.vecdot(self.t, corrected)) ** 2
-                       / np.vecdot(corrected, corrected).real)
+                corrected = np.exp(1j * (x[live] @ self.bits.T)) * perm[live]
+                fid = np.abs(np.vecdot(self.t_supp, corrected)) ** 2
                 good = fid >= 1.0 - atol
                 rows = live[good]
                 for row, labels, f in zip(cand[rows], _labels(a_mask, x[rows]), fid[good]):

@@ -116,13 +116,16 @@ def annihilate(state: FockState, w: int) -> FockState:
 
 def apply_operator(state: FockState, legs, kind=annihilate) -> FockState:
     """Reference for ``fock.ladder``: sum_i c_i op(w_i) as one ``kind`` call
-    per leg, summed with ``add_scaled`` (op defaults to annihilation)."""
-    out = FockState.zero()
+    per leg (op defaults to annihilation).  Negligible amplitudes are
+    dropped from the whole sum, not after each leg: legs whose terms are
+    each below ``DROP_TOL`` can add up past it."""
+    out: dict = {}
     for w, c in legs:
         if abs(c) < fock.DROP_TOL:
             continue
-        out = add_scaled(out, c, kind(state, w))
-    return out
+        for occ, amp in kind(state, w).terms():
+            out[occ] = out.get(occ, 0.0) + c * amp
+    return FockState(out)
 
 
 def strip_wires(state: FockState, wires) -> FockState:
@@ -384,20 +387,24 @@ def naive_solve_correction(residual, target, atol: float = 1e-9):
     one bit-flip mask at a time, with the scalar phase solver and label
     formatter above."""
     plan = sim._CorrectionPlan(target)
+    t = target.normalized().amps
     r = residual.normalized().amps
-    if r.size != plan.t.size:
+    if r.size != t.size:
         raise ValueError("qubit counts differ")
+    index = np.arange(t.size)
+    off_supp = np.flatnonzero(np.abs(t) <= 1e-10)
+    all_bits = ((index[:, None] >> np.arange(plan.n - 1, -1, -1)) & 1).astype(int)
     for a_mask in range(2 ** plan.n):
-        perm = r[plan.index ^ a_mask]
+        perm = r[index ^ a_mask]
         perm_supp = perm[plan.supp]
         if np.any(np.abs(np.abs(perm_supp) - plan.abs_t_supp) > 1e-7):
             continue
-        if np.any(np.abs(perm[plan.off_supp]) > 1e-7):
+        if np.any(np.abs(perm[off_supp]) > 1e-7):
             continue
         q = np.angle(plan.t_supp / perm_supp)
         for x in naive_phase_solutions(plan.rows, sim._wrap(q[1:] - q[0]), plan.n):
-            corrected = np.exp(1j * (plan.all_bits @ x)) * perm
-            fid = abs(np.vdot(plan.t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
+            corrected = np.exp(1j * (all_bits @ x)) * perm
+            fid = abs(np.vdot(t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
             if fid >= 1.0 - atol:
                 return naive_labels(a_mask, x, plan.n), float(fid)
     return None

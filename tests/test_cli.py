@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sculpt import analysis, cli
 from sculpt.bigraph import ghz, serialize_graph, w
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph
 from sculpt.circuit import parse_circuit, serialize_circuit
@@ -91,6 +92,26 @@ def test_verify_type5(tmp_path, capsys):
                            "--target", "type5", "--n", "3")
     assert code == 0
     assert "P_ff = 5/1152" in out
+
+
+def test_shared_parser_keeps_no_flag_between_calls(tmp_path, capsys, monkeypatch):
+    # main builds its parser once; an --atol given in one call must not
+    # reach the next one, which takes the default
+    seen = []
+    verify_scheme = analysis.verify_scheme
+
+    def spy(g, kind, n, atol):
+        seen.append(atol)
+        return verify_scheme(g, kind, n, atol=atol)
+
+    monkeypatch.setattr(analysis, "verify_scheme", spy)
+    g = tmp_path / "g.json"
+    run_cli(capsys, "preset", "--kind", "ghz", "--n", "2", "--out", str(g))
+    argv = ["verify", "--graph", str(g), "--target", "ghz", "--n", "2"]
+    assert run_cli(capsys, *argv, "--atol", "1e-6")[0] == 0
+    assert run_cli(capsys, *argv)[0] == 0
+    assert seen == [1e-6, 1e-9]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_mismatched_target_exits_3(tmp_path, capsys):
