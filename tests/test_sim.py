@@ -279,9 +279,9 @@ def test_swap_trades_photons_between_unjoined_factors():
     # renames them, so it is folded into the sources: the photon of wire 0
     # is born on wire 1 and the pair of wire 1 on wire 0.  The filter on
     # {1, 2}, placed after the third photon's source, counts one photon from
-    # wire 0 plus the new one and meets the required 2 (without the fold,
-    # {1, 2} would hold 3).  The beam splitters then join wire 1 with the
-    # third photon, and wire 0 with vacuum.
+    # wire 0 plus the new one and meets the required 2 (with the swap
+    # ignored, {1, 2} would hold 3).  The beam splitters then join wire 1
+    # with the third photon, and wire 0 with vacuum.
     elements = [Source(0, 1), Source(1, 2), Swap(((0, 1), (1, 0))), Source(2, 1),
                 Multiport(((1,), (2,))), Multiport(((0,), (3,)))]
     c = Circuit(_wires(6), elements,
