@@ -138,7 +138,7 @@ def oracle_qubit_state(g: SculptingBigraph) -> QubitState:
 
 
 def verify_scheme(g: SculptingBigraph, kind: str, n: int,
-                  atol: float = 1e-9) -> SchemeReport:
+                  atol: float = fock.ATOL) -> SchemeReport:
     """Full pipeline check: oracle, compile, simulate, classify, probe."""
     t0 = time.perf_counter()
     epm = is_epm(g)

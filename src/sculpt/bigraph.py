@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-ATOL = 1e-9
+from .fock import ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +42,6 @@ class InternalState:
     @staticmethod
     def zero() -> "InternalState":
         return _NAMED_STATES["0"]
-
-    @staticmethod
-    def one() -> "InternalState":
-        return _NAMED_STATES["1"]
 
     @staticmethod
     def plus() -> "InternalState":
@@ -156,19 +152,11 @@ class SculptingBigraph:
     def dot_ids(self) -> list[int]:
         return sorted({e.dot for e in self.edges})
 
-    @property
-    def n_dots(self) -> int:
-        return len(self.dot_ids())
-
     def edges_of_circle(self, label: str) -> list[Edge]:
         return [e for e in self.edges if e.mode == label]
 
     def edges_of_dot(self, dot: int) -> list[Edge]:
         return [e for e in self.edges if e.dot == dot]
-
-    @property
-    def n_ancilla(self) -> int:
-        return len(self.ancillas)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +342,10 @@ def preset(kind: str, n: int | None = None) -> SculptingBigraph:
     raise ValueError(f"unknown preset kind {kind!r}")
 
 
-def random_epm(rng, n_main: int, n_ancilla: int, max_anc_degree: int = 3,
+def random_epm(rng, n_main: int, n_ancilla: int,
                realizable: bool = False) -> SculptingBigraph:
-    """Random EPM graph: pattern-A main circles, pattern-B ancillas.
+    """Random EPM graph: pattern-A main circles, pattern-B ancillas, each
+    ancilla with 1-3 edges.
 
     By default per-dot amplitudes are random complex numbers normalized to
     sum |amp|^2 = 1.  With ``realizable=True`` every dot gets the hardware
@@ -373,8 +362,7 @@ def random_epm(rng, n_main: int, n_ancilla: int, max_anc_degree: int = 3,
             raw.append((str(j), int(d_plus), InternalState.plus()))
             raw.append((str(j), int(d_minus), InternalState.minus()))
         for a in anc_labels:
-            deg = int(rng.integers(1, max_anc_degree + 1))
-            deg = min(deg, n_dots)
+            deg = min(int(rng.integers(1, 4)), n_dots)
             targets = rng.choice(n_dots, size=deg, replace=False) + 1
             for d in targets:
                 raw.append((a, int(d), InternalState.zero()))

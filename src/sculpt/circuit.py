@@ -154,9 +154,6 @@ class Circuit:
     name: str = ""
     layout: object | None = field(default=None, compare=False, repr=False)
 
-    def wire(self, wid: int) -> Wire:
-        return self.wires[wid]
-
     def wire_ids(self) -> set[int]:
         return {w.id for w in self.wires}
 

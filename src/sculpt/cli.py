@@ -71,8 +71,8 @@ def _load_config(path: str | None) -> dict:
 
 
 def _atol(args, conf: dict) -> float:
-    """--atol, else the config's atol, else 1e-9; finite, in [0, 1)."""
-    atol = args.atol if args.atol is not None else conf.get("atol", 1e-9)
+    """--atol, else the config's atol, else ``fock.ATOL``; finite, in [0, 1)."""
+    atol = args.atol if args.atol is not None else conf.get("atol", fock.ATOL)
     if not 0.0 <= atol < 1.0:  # also rejects nan
         raise CliError(f"atol {atol} is not a tolerance in [0, 1)")
     return atol

@@ -34,8 +34,7 @@ from .bigraph import (CircleKind, Edge, SculptingBigraph, non_epm_circles,
 from .circuit import (DUAL_RAIL, POLARIZATION, Circuit, DetectorGroup, HWP,
                       Multiport, PBS, ReturnMerge, Source, Swap, UHWP, Wire,
                       validate)
-
-ATOL = 1e-9
+from .fock import ATOL
 
 
 class CompileError(ValueError):
@@ -52,7 +51,6 @@ class MainLeg:
     tap_loc: str          # location whose tap channel feeds the mixer
     tap_channel: str      # "V" for red legs, "H" for blue legs
     ret_loc: str          # location carrying the surviving photon
-    ret_channel: str
 
 
 @dataclass
@@ -64,12 +62,10 @@ class AncLeg:
 
 @dataclass
 class Block:
-    dot: int
     kind: str              # "optimized" | "general"
     main_legs: list[MainLeg]
     anc_legs: list[AncLeg]
     tap_locs: list[str] = field(default_factory=list)
-    det_wires: tuple[int, ...] = ()
     pre_mix_wires: tuple[int, ...] = ()
 
 
@@ -195,13 +191,13 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
         for i, e in enumerate(main_edges):
             if e.state.name == "+":
                 # red legs anchor the block on the mode location itself
-                main_legs.append(MainLeg(e.mode, "+", e.mode, "", "V", e.mode, "H"))
+                main_legs.append(MainLeg(e.mode, "+", e.mode, "", "V", e.mode))
             else:
                 leg = new_loc(f"s{dot}.m{i}")
                 src = low_locs[e.mode]
                 for ch in ("H", "V"):
                     route_pairs.append((wid(src, ch), wid(leg, ch)))
-                main_legs.append(MainLeg(e.mode, "-", leg, "", "H", "", "V"))
+                main_legs.append(MainLeg(e.mode, "-", leg, "", "H", ""))
         anc_legs: list[AncLeg] = []
         for i, e in enumerate(anc_edges):
             leg = new_loc(f"s{dot}.a{i}")
@@ -210,7 +206,7 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
             for ch in ("H", "V"):
                 route_pairs.append((wid(src, ch), wid(leg, ch)))
             anc_legs.append(AncLeg(e.mode, leg, ()))
-        blocks[dot] = Block(dot, kind, main_legs, anc_legs)
+        blocks[dot] = Block(kind, main_legs, anc_legs)
 
     if route_pairs:
         mapping = dict(route_pairs)
@@ -305,7 +301,6 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
             det_wires = tuple(wid(loc, ch) for loc in blk.tap_locs
                               for ch in chans[loc])
             blk.pre_mix_wires = det_wires
-        blk.det_wires = det_wires
         groups.append(DetectorGroup(dot, det_wires, 1))
 
     outputs = [wid(label, ch) for label in mains for ch in ("H", "V")]
@@ -328,10 +323,11 @@ _RAIL = {"H": "0", "V": "1"}
 def to_dual_rail(c: Circuit) -> Circuit:
     """Re-encode a polarization circuit over two spatial rails per location.
 
-    PBSs become wire permutations; HWPs become balanced beam splitters across
-    the two rails (the rotated plate needs a rail swap on each side); Fourier
-    ports and permutations carry over unchanged.  Wire ids are preserved, so
-    outcome statistics are identical by construction.
+    PBSs become wire permutations; each wave plate becomes a balanced beam
+    splitter across the two rails, the rotated plate with its ports in the
+    other order (rail 1 first); Fourier ports and permutations carry over
+    unchanged.  Wire ids are preserved, so outcome statistics are identical
+    by construction.
     """
     if c.encoding != POLARIZATION:
         raise ValueError("circuit is already dual-rail encoded")
@@ -341,10 +337,7 @@ def to_dual_rail(c: Circuit) -> Circuit:
         if isinstance(el, HWP):
             elements.append(Multiport(((el.h,), (el.v,)), el.stage))
         elif isinstance(el, UHWP):
-            swap = Swap(((el.h, el.v), (el.v, el.h)), el.stage)
-            elements.append(swap)
-            elements.append(Multiport(((el.h,), (el.v,)), el.stage))
-            elements.append(swap)
+            elements.append(Multiport(((el.v,), (el.h,)), el.stage))
         elif isinstance(el, PBS):
             elements.append(Swap(((el.a_v, el.b_v), (el.b_v, el.a_v)), el.stage))
         else:

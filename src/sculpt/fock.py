@@ -7,7 +7,8 @@ vectors; all operations are pure and return new states.
 
 Conventions:
     * amplitudes below ``DROP_TOL`` are dropped at insertion,
-    * comparisons use absolute tolerance ``ATOL``,
+    * comparisons use absolute tolerance ``ATOL``, the package's one
+      default tolerance,
     * an empty term map is the zero state.
 """
 
@@ -59,37 +60,16 @@ class FockState:
     def vacuum() -> "FockState":
         return FockState({(): 1.0 + 0.0j})
 
-    @staticmethod
-    def zero() -> "FockState":
-        return FockState()
-
-    @staticmethod
-    def from_counts(counts: Mapping[WireId, int], amplitude: complex = 1.0) -> "FockState":
-        occ = tuple(sorted((w, n) for w, n in counts.items() if n))
-        if any(n < 0 for _, n in occ):
-            raise ValueError("negative occupation")
-        return FockState({occ: amplitude})
-
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Occupation, complex]]:
         return iter(self._terms.items())
-
-    def amplitude(self, counts: Mapping[WireId, int]) -> complex:
-        occ = tuple(sorted((w, n) for w, n in counts.items() if n))
-        return self._terms.get(occ, 0.0 + 0.0j)
 
     def num_terms(self) -> int:
         return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def wires(self) -> set[WireId]:
-        used: set[WireId] = set()
-        for occ in self._terms:
-            used.update(w for w, _ in occ)
-        return used
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
@@ -140,31 +120,6 @@ def ladder(state: FockState, legs: Sequence[tuple[WireId, complex]],
                 continue
             out[key] = get(key, 0.0) + c * amp_n
     return FockState(out)
-
-
-def relabel(state: FockState, mapping: Mapping[WireId, WireId]) -> FockState:
-    """Re-key every occupation vector through a wire permutation.
-
-    ``mapping`` must permute its own wires (its values are its keys, in
-    some order), so distinct terms stay distinct; wires absent from it
-    stay put.  Any other mapping raises ``ValueError``.
-    """
-    if sorted(mapping) != sorted(mapping.values()):
-        raise ValueError("relabel mapping is not a permutation of its wires")
-    get = mapping.get
-    # Each distinct (wire, count) pair is renamed once per call.
-    renamed: dict[tuple[WireId, int], tuple[WireId, int]] = {}
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms():
-        key = []
-        for pair in occ:
-            new = renamed.get(pair)
-            if new is None:
-                new = renamed[pair] = (get(pair[0], pair[0]), pair[1])
-            key.append(new)
-        key.sort()
-        out[tuple(key)] = amp
-    return FockState._adopt(out)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:

@@ -70,10 +70,11 @@ def _permutation(el) -> dict[int, int] | None:
 
 
 def apply_element(state: FockState, el) -> FockState:
-    """Apply one element's action; unknown elements raise."""
+    """Apply one element's action; unknown elements raise.  A permutation is
+    the substitution a†_src -> a†_dst."""
     perm = _permutation(el)
     if perm is not None:
-        return fock.relabel(state, perm)
+        return fock.substitute(state, {src: ((dst, 1.0),) for src, dst in perm.items()})
     if isinstance(el, Source):
         out = state
         for _ in range(el.photons):
@@ -413,7 +414,10 @@ class _CorrectionPlan:
             if not cand.size:
                 continue
             perm = amps[cand[:, None], cols]
-            q = np.angle(self.t_supp / perm)
+            # A zero entry (a target amplitude under the 1e-7 fit tolerance)
+            # imposes no phase.
+            q = np.angle(np.divide(self.t_supp, perm, out=np.zeros_like(perm),
+                                   where=perm != 0))
             hit = np.zeros(cand.size, dtype=bool)
             for consistent, x in _phase_solutions(self.rows, _wrap(q[:, 1:] - q[:, :1]).T,
                                                   self.n):
@@ -466,7 +470,7 @@ def _labels(a_mask: int, x: np.ndarray) -> list[tuple[str, ...]]:
 
 
 def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
-                         circuit: Circuit, atol: float = 1e-9) -> list[HeraldOutcome]:
+                         circuit: Circuit, atol: float = fock.ATOL) -> list[HeraldOutcome]:
     """Populate correction labels on a copy of each outcome.
 
     Outcomes split into identity-correct (no correction needed, up to global

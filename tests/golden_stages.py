@@ -4,15 +4,17 @@ For each scheme the propagated state is pinned after photon-pair
 preparation, the polarization split, wire routing, the subtractor tap-off
 (returns merged), and the pre-mixer heralding filter.  Expectations are
 creation polynomials over the compiled layout, exposing every coefficient
-the interference depends on.
+the interference depends on.  Each scheme is compiled and propagated once
+per test session; every stage test reads the memoized states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from helpers import Poly, mono, poly_add, poly_mul, poly_prod, poly_scale, poly_state, sq
-from sculpt import fock, sim
+from helpers import Poly, apply, mono, poly_add, poly_mul, poly_prod, poly_scale, poly_state, sq
+from sculpt import fock
 from sculpt.bigraph import SculptingBigraph, ghz, type5, w
 from sculpt.circuit import STAGES
 from sculpt.compiler import compile_graph
@@ -51,6 +53,7 @@ def anc_leg_of(L, dot: int, circle: str):
     return next(l for l in L.blocks[dot].anc_legs if l.circle == circle)
 
 
+@functools.cache
 def setup(kind: str, n: int):
     g = {"ghz": ghz, "w": w}.get(kind, lambda _n: type5())(n)
     c = compile_graph(g)
@@ -219,35 +222,37 @@ def type5_expectation(g, c, L, stage: str) -> Poly:
 EXPECTATIONS = {"ghz": ghz_expectation, "w": w_expectation, "type5": type5_expectation}
 
 
-def run_through(c, stage: str) -> FockState:
-    """Propagate the sources through every element up to and including the
-    named pipeline stage."""
-    limit = STAGES.index(stage)
+@functools.cache
+def stage_states(kind: str, n: int) -> dict[str, FockState]:
+    """The state after each pipeline stage, from one propagation of the
+    sources, plus "filtered": the post-merge state with the heralding filter
+    applied before the which-path mixers (the component whose pre-mix tap
+    wires hold exactly the required photon count per subtractor,
+    unnormalized)."""
+    _, c, L = setup(kind, n)
+    order = [STAGES.index(el.stage) for el in c.elements]
+    assert order == sorted(order), "elements are not in pipeline stage order"
+    states = {}
     state = FockState.vacuum()
-    for el in c.elements:
-        if (STAGES.index(el.stage) if el.stage in STAGES else 0) <= limit:
-            state = sim.apply_element(state, el)
-    return state
-
-
-def filtered_state(c, L) -> FockState:
-    """Heralding filter applied before the which-path mixers: the component
-    of the post-merge state whose pre-mix tap wires hold exactly the required
-    photon count per subtractor.  Unnormalized."""
-    state = run_through(c, "merge")
+    for stage in STAGES:
+        for el in c.elements:
+            if el.stage == stage:
+                state = apply(state, el)
+        states[stage] = state
+    state = states["merge"]
     for grp in c.detector_groups:
-        state, _ = fock.project_count(state, L.blocks[grp.gid].pre_mix_wires,
-                                      grp.required)
-    return state
+        state, _ = fock.project_count(state, L.blocks[grp.gid].pre_mix_wires, grp.required)
+    states["filtered"] = state
+    return states
 
 
-def assert_stage(kind: str, g, c, L, stage: str) -> None:
+def assert_stage(kind: str, n: int, stage: str) -> None:
+    g, c, L = setup(kind, n)
     expected = poly_state(EXPECTATIONS[kind](g, c, L, stage))
-    got = filtered_state(c, L) if stage == "filtered" else run_through(c, stage)
-    assert fock.allclose(got, expected), f"{kind}: stage {stage!r} differs"
+    assert fock.allclose(stage_states(kind, n)[stage], expected), \
+        f"{kind}: stage {stage!r} differs"
 
 
 def assert_scheme_goldens(kind: str, n: int) -> None:
-    g, c, L = setup(kind, n)
     for stage in STAGE_NAMES:
-        assert_stage(kind, g, c, L, stage)
+        assert_stage(kind, n, stage)

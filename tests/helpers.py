@@ -1,8 +1,8 @@
 """Shared test utilities: creation-polynomial builders over circuit wires,
 the full-propagation reference for heralded outcomes, the naive references
-for ``fock.ladder``, ``fock.substitute``, ``fock.relabel``,
-``sculpting.hadamard_all`` and the feed-forward solver, and small readers of
-states and circuits.
+for ``fock.ladder``, ``fock.substitute``, ``sculpting.hadamard_all`` and the
+feed-forward solver, the wire relabeling the references propagate
+permutations with, and small builders and readers of states and circuits.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -13,7 +13,6 @@ exactly how the staged reference expressions are written.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -64,14 +63,16 @@ def sq(terms: list[tuple[int, complex]]) -> Poly:
 
 
 def poly_state(p: Poly) -> FockState:
-    """Apply a creation polynomial to vacuum."""
-    out = FockState.zero()
+    """Apply a creation polynomial to vacuum.  Distinct monomials give
+    distinct basis states, so their terms are collected in one dict."""
+    out: dict = {}
     for m, c in p.items():
         term = FockState.vacuum()
         for w in m:
             term = create(term, w)
-        out = add_scaled(out, c, term)
-    return out
+        (occ, amp), = term.terms()
+        out[occ] = c * amp
+    return FockState(out)
 
 
 def add_scaled(a: FockState, c: complex, b: FockState) -> FockState:
@@ -141,8 +142,15 @@ def strip_wires(state: FockState, wires) -> FockState:
     return FockState(out)
 
 
-def counts_state(counts: dict[int, int], amp: complex = 1.0) -> FockState:
-    return FockState.from_counts(Counter(counts), amp)
+def from_counts(counts: dict[int, int], amp: complex = 1.0) -> FockState:
+    """amp times the basis state with ``counts[w]`` photons on wire w."""
+    return FockState({tuple(sorted((w, n) for w, n in counts.items() if n)): amp})
+
+
+def amplitude(state: FockState, counts: dict[int, int]) -> complex:
+    """The amplitude of the basis state with ``counts[w]`` photons on wire w."""
+    occ = tuple(sorted((w, n) for w, n in counts.items() if n))
+    return dict(state.terms()).get(occ, 0j)
 
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -227,8 +235,9 @@ def naive_substitute(state: FockState, rules) -> FockState:
 
 
 def naive_relabel(state: FockState, mapping) -> FockState:
-    """Reference for ``fock.relabel``: re-keys each term through a dict of
-    its counts, wire by wire."""
+    """A wire permutation (``mapping``: src -> dst) applied by re-keying each
+    term through a dict of its counts, wire by wire; the reference for
+    ``sim.apply_element`` on a PBS, swap or merge."""
     out: dict = {}
     for occ, amp in state.terms():
         counts = {mapping.get(w, w): n for w, n in occ}
@@ -236,11 +245,18 @@ def naive_relabel(state: FockState, mapping) -> FockState:
     return FockState(out)
 
 
+def apply(state: FockState, el) -> FockState:
+    """``sim.apply_element``, except that a permutation re-keys the terms
+    through :func:`naive_relabel` instead of the production substitution."""
+    perm = sim._permutation(el)
+    return sim.apply_element(state, el) if perm is None else naive_relabel(state, perm)
+
+
 def run(circuit) -> FockState:
     """Propagate the sources through every element, with no heralding."""
     state = FockState.vacuum()
     for el in circuit.elements:
-        state = sim.apply_element(state, el)
+        state = apply(state, el)
     return state
 
 
@@ -401,7 +417,8 @@ def naive_solve_correction(residual, target, atol: float = 1e-9):
             continue
         if np.any(np.abs(perm[off_supp]) > 1e-7):
             continue
-        q = np.angle(plan.t_supp / perm_supp)
+        q = np.angle(np.divide(plan.t_supp, perm_supp, out=np.zeros_like(perm_supp),
+                               where=perm_supp != 0))
         for x in naive_phase_solutions(plan.rows, sim._wrap(q[1:] - q[0]), plan.n):
             corrected = np.exp(1j * (all_bits @ x)) * perm
             fid = abs(np.vdot(t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)

@@ -20,12 +20,11 @@ import numpy as np
 import pytest
 
 import golden_stages as gs
-from helpers import R2, add_scaled, count_elements
+from helpers import R2, add_scaled, count_elements, from_counts
 from sculpt import bigraph, fock, sim
 from sculpt.analysis import genuine_entanglement, target_state, verify_scheme
 from sculpt.bigraph import ghz, type5, w
 from sculpt.compiler import compile_graph, to_dual_rail
-from sculpt.fock import FockState
 from sculpt.sculpting import QubitState, apply_sculpting, oracle_wires, pm_predict
 
 ATOL = 1e-9
@@ -174,16 +173,16 @@ def test_criterion_09_genuineness(reports):
 
 
 def test_criterion_10_algebra_identities():
-    pair = FockState.from_counts({0: 1, 1: 1})
+    pair = from_counts({0: 1, 1: 1})
     plus = fock.ladder(pair, [(0, R2), (1, R2)])
-    expect_plus = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2),
-                             R2, FockState.from_counts({1: 1}))
+    expect_plus = add_scaled(fock.scale(from_counts({0: 1}), R2),
+                             R2, from_counts({1: 1}))
     minus = fock.ladder(pair, [(0, R2), (1, -R2)])
     expect_minus = fock.scale(add_scaled(
-        fock.scale(FockState.from_counts({0: 1}), R2), -R2,
-        FockState.from_counts({1: 1})), -1.0)
+        fock.scale(from_counts({0: 1}), R2), -R2,
+        from_counts({1: 1})), -1.0)
     both = fock.ladder(plus, [(0, R2), (1, -R2)])
-    single = FockState.from_counts({0: 1})
+    single = from_counts({0: 1})
     twice = fock.ladder(fock.ladder(single, [(0, 1.0)]), [(0, 1.0)])
     ok = (fock.allclose(plus, expect_plus)
           and fock.allclose(minus, expect_minus)

@@ -56,8 +56,8 @@ def test_named_states_keep_their_names(name):
 
 def test_ghz_preset_structure():
     g = ghz(3)
-    assert g.n_main == 3 and g.n_ancilla == 0
-    assert g.n_dots == 3 and len(g.edges) == 6
+    assert g.n_main == 3 and len(g.ancillas) == 0
+    assert len(g.dot_ids()) == 3 and len(g.edges) == 6
     assert is_epm(g)
     for c in g.circles():
         assert classify_circle(g, c.label) is EpmPattern.A
@@ -73,7 +73,7 @@ def test_ghz_preset_structure():
 
 def test_w_preset_structure():
     g = w(3)
-    assert g.n_ancilla == 1 and g.n_dots == 4
+    assert len(g.ancillas) == 1 and len(g.dot_ids()) == 4
     assert classify_circle(g, "X") is EpmPattern.B
     assert is_epm(g)
     ops = subtraction_operators(g)
@@ -84,7 +84,7 @@ def test_w_preset_structure():
 
 def test_type5_preset_structure():
     g = type5()
-    assert g.n_main == 3 and g.n_ancilla == 3 and g.n_dots == 6
+    assert g.n_main == 3 and len(g.ancillas) == 3 and len(g.dot_ids()) == 6
     assert len(g.edges) == 14
     assert is_epm(g)
     assert sorted(c.label for c in g.circles()) == ["1", "2", "3", "X", "Y", "Z"]
@@ -273,7 +273,7 @@ def test_parse_phase_field():
 
 def test_preset_dispatch_and_errors():
     assert preset("ghz", 4).n_main == 4
-    assert preset("type5").n_ancilla == 3
+    assert len(preset("type5").ancillas) == 3
     with pytest.raises(ValueError):
         preset("ghz", 1)
     with pytest.raises(ValueError):

@@ -5,15 +5,13 @@ import math
 
 import pytest
 
-from helpers import add_scaled, count_elements, strip_wires
+from helpers import add_scaled, apply, count_elements, from_counts, strip_wires
 from sculpt import fock
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
 from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, Multiport, Source,
                             parse_circuit, serialize_circuit, circuit_to_dot,
                             validate)
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
-from sculpt.fock import FockState
-from sculpt import sim
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -84,11 +82,11 @@ def test_compile_rejects_unequal_magnitudes():
 def test_photon_budget_structure():
     for g in (ghz(3), w(3), type5()):
         c = compile_graph(g)
-        n, k = g.n_main, g.n_ancilla
+        n, k = g.n_main, len(g.ancillas)
         sourced = sum(el.photons for el in c.elements if el.kind == "source")
         assert sourced == 2 * n + k
         assert sum(grp.required for grp in c.detector_groups) == n + k
-        assert len(c.detector_groups) == g.n_dots
+        assert len(c.detector_groups) == len(g.dot_ids())
         assert len(c.outputs) == 2 * n  # one H and one V rail per output mode
 
 
@@ -151,10 +149,13 @@ def test_dual_rail_w3():
     assert count_elements(d, "pbs") == 0
     assert d.encoding == DUAL_RAIL
     assert validate(d) == []
-    # every wave plate becomes exactly one balanced splitter
+    # every wave plate becomes exactly one balanced splitter, every PBS one
+    # rail swap, and nothing else is added
     plates = count_elements(c, "hwp") + count_elements(c, "uhwp")
     two_ports = count_elements(c, "bs")
     assert count_elements(d, "bs") == plates + two_ports
+    assert count_elements(d, "swap") == count_elements(c, "pbs") + count_elements(c, "swap")
+    assert len(d.elements) == len(c.elements)
     with pytest.raises(ValueError):
         to_dual_rail(d)
 
@@ -186,7 +187,7 @@ def _isolated_block_outcomes(g, dot, feed):
                    c.encoding, layout=layout)
     state = feed
     for el in keep:
-        state = sim.apply_element(state, el)
+        state = apply(state, el)
     det = sorted(groups[0].wires)
     outcomes = []
     for sig, comp in fock.group_by_counts(state, det):
@@ -222,8 +223,8 @@ def test_optimized_block_acts_like_its_dot():
     bv = layout.wire(b, "V")
     # input (a†²_{t,H} - a†²_{b,V})/2: the relevant two-photon content
     feed = add_scaled(
-        fock.scale(FockState.from_counts({th: 2}), 0.5 * math.sqrt(2)),
-        -0.5 * math.sqrt(2), FockState.from_counts({bv: 2}))
+        fock.scale(from_counts({th: 2}), 0.5 * math.sqrt(2)),
+        -0.5 * math.sqrt(2), from_counts({bv: 2}))
     outcomes = _isolated_block_outcomes(g, 1, feed)
     assert len(outcomes) == 2
     for sig, comp in outcomes:

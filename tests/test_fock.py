@@ -1,23 +1,23 @@
-"""Ladder algebra, projections, relabeling, the ladder kernel and
-substitution against their naive references, and the core boson
+"""Ladder algebra, projections, the ladder kernel, substitution and
+wire permutations against their naive references, and the core boson
 identities."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (add_scaled, annihilate, apply_operator, create, inner, naive_relabel,
-                     naive_substitute, total_photons)
-from sculpt import fock
+from helpers import (add_scaled, amplitude, annihilate, apply_operator, create, from_counts,
+                     inner, naive_relabel, naive_substitute, total_photons)
+from sculpt import fock, sim
+from sculpt.circuit import Swap
 from sculpt.fock import FockState
 
 R2 = 1.0 / math.sqrt(2.0)
 
 
 def ket(**counts) -> FockState:
-    return FockState.from_counts({int(k[1:]): v for k, v in counts.items()})
+    return from_counts({int(k[1:]): v for k, v in counts.items()})
 
 
 def up(state: FockState, w: int) -> FockState:
@@ -35,7 +35,7 @@ def test_create_on_vacuum():
 
 def test_create_sqrt_factor():
     s = up(ket(w0=1), 0)
-    assert abs(s.amplitude({0: 2}) - math.sqrt(2)) < 1e-12
+    assert abs(amplitude(s, {0: 2}) - math.sqrt(2)) < 1e-12
 
 
 def test_create_distinct_wires_commute():
@@ -96,7 +96,7 @@ def test_ladder_legs_on_one_wire_add_up_and_cancel():
 def test_ladder_skips_negligible_legs():
     # a leg below DROP_TOL acts as no leg at all, in both directions, even
     # where its product with a large amplitude would be kept
-    s = FockState.from_counts({0: 1, 1: 1}, 1e3)
+    s = from_counts({0: 1, 1: 1}, 1e3)
     assert dict(fock.ladder(s, [(0, 0.0), (1, 1e-13)]).terms()) == {}
     assert dict(fock.ladder(s, [(0, 1.0), (1, 1e-13)], create=True).terms()) == {
         ((0, 2), (1, 1)): 1e3 * math.sqrt(2)}
@@ -142,34 +142,23 @@ def test_project_count_tap_step():
     split = fock.substitute(bunch, {0: ((0, R2), (1, R2)), 1: ((2, R2), (3, R2))})
     comp, p = fock.project_count(split, {1, 3}, 1)
     # only the cross terms (one kept photon, one tapped) survive
-    assert abs(comp.amplitude({0: 1, 1: 1}) - 0.5) < 1e-12
-    assert abs(comp.amplitude({2: 1, 3: 1}) + 0.5) < 1e-12
+    assert abs(amplitude(comp, {0: 1, 1: 1}) - 0.5) < 1e-12
+    assert abs(amplitude(comp, {2: 1, 3: 1}) + 0.5) < 1e-12
     assert abs(p - 0.5) < 1e-12
 
 
 def test_relabel_identity_and_roundtrip():
+    # a permutation element is a unit-coefficient substitution
     s = add_scaled(ket(w0=1, w1=2), 0.3j, ket(w2=1))
-    assert fock.allclose(fock.relabel(s, {}), s)
-    perm = {0: 2, 2: 0}
-    back = fock.relabel(fock.relabel(s, perm), perm)
+    assert fock.allclose(sim.apply_element(s, Swap(())), s)
+    swap = Swap(((0, 2), (2, 0)))
+    back = sim.apply_element(sim.apply_element(s, swap), swap)
     assert fock.allclose(back, s)
 
 
-def test_relabel_rejects_non_bijection():
-    s = ket(w0=1, w1=1)
-    with pytest.raises(ValueError):
-        fock.relabel(s, {0: 1, 2: 1})
-
-
-def test_relabel_rejects_non_permutation():
-    # wire 5 is not one of the mapping's own wires, occupied or not
-    with pytest.raises(ValueError):
-        fock.relabel(ket(w0=1), {0: 5})
-
-
 def test_tensor_multiplies_amplitudes_and_drops_the_negligible():
-    a = add_scaled(FockState.from_counts({0: 1}, 0.6), 1e-7, FockState.from_counts({1: 2}))
-    b = add_scaled(FockState.from_counts({2: 1}, 0.8j), 1e-6, FockState.from_counts({3: 1}))
+    a = add_scaled(from_counts({0: 1}, 0.6), 1e-7, from_counts({1: 2}))
+    b = add_scaled(from_counts({2: 1}, 0.8j), 1e-6, from_counts({3: 1}))
     out = fock.tensor(a, b)
     assert dict(out.terms()) == {((0, 1), (2, 1)): 0.6 * 0.8j, ((0, 1), (3, 1)): 0.6e-6,
                                  ((1, 2), (2, 1)): 0.8e-7j}
@@ -290,7 +279,7 @@ def test_projection_partition_reconstructs(s):
     # summing the components over all total counts on a wire group
     # reconstructs the state and its squared norm
     group = {0, 1}
-    total = FockState.zero()
+    total = FockState()
     mass = 0.0
     for n in range(0, 8):
         comp, p = fock.project_count(s, group, n)
@@ -338,4 +327,6 @@ def wire_permutations(draw):
 @given(sparse_states(), wire_permutations())
 @settings(max_examples=200, deadline=None)
 def test_relabel_matches_naive_reference(s, mapping):
-    assert dict(fock.relabel(s, mapping).terms()) == dict(naive_relabel(s, mapping).terms())
+    # a swap element, applied as a substitution, re-keys every term
+    out = sim.apply_element(s, Swap(tuple(mapping.items())))
+    assert fock.allclose(out, naive_relabel(s, mapping), atol=1e-12)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import add_scaled, create, naive_hadamard_all, total_photons
+from helpers import add_scaled, create, from_counts, naive_hadamard_all, total_photons
 from sculpt import bigraph, fock
 from sculpt.analysis import oracle_qubit_state
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
@@ -35,7 +35,7 @@ def test_initial_state_single_mode():
     g = SculptingBigraph(1, (), ())
     table = oracle_wires(g)
     assert table == {("1", 0): 0, ("1", 1): 1}
-    assert fock.allclose(initial_state(g, table), FockState.from_counts({0: 1, 1: 1}))
+    assert fock.allclose(initial_state(g, table), from_counts({0: 1, 1: 1}))
 
 
 def test_initial_state_photon_counts():
@@ -69,7 +69,7 @@ def test_w_sculpting_closed_form():
         g = w(n)
         table = oracle_wires(g)
         out = apply_sculpting(g, table=table)
-        expect = FockState.zero()
+        expect = FockState()
         for k in range(1, n + 1):
             signs = "".join("-" if j == k else "+" for j in range(1, n + 1))
             expect = add_scaled(expect, 1.0, plus_minus_state(table, signs, 1.0))
@@ -82,7 +82,7 @@ def test_type5_sculpting_closed_form():
     g = type5()
     table = oracle_wires(g)
     out = apply_sculpting(g, table=table)
-    expect = FockState.zero()
+    expect = FockState()
     for signs in ("+++", "-++", "-+-", "--+", "---"):
         expect = add_scaled(expect, 1.0 / 12.0,
                             plus_minus_state(table, signs, 1.0))
@@ -95,7 +95,7 @@ def test_no_bunching():
     table = oracle_wires(g)
     assert no_bunching_check(apply_sculpting(g, table=table), g, table)
     assert not no_bunching_check(initial_state(ghz(2), oracle_wires(ghz(2))), ghz(2))
-    assert no_bunching_check(FockState.zero(), g)
+    assert no_bunching_check(FockState(), g)
 
 
 def test_dot_order_independence():
@@ -148,7 +148,7 @@ def test_pm_predict_no_matching_gives_zero():
 def test_to_qubit_state_single_mode():
     # rail 1 is bit 1, and the reading is normalized
     w0, w1 = 0, 1
-    q = to_qubit_state(fock.scale(FockState.from_counts({w1: 1}), 3.0), [(w0, w1)])
+    q = to_qubit_state(fock.scale(from_counts({w1: 1}), 3.0), [(w0, w1)])
     assert np.allclose(q.amps, [0.0, 1.0])
 
 
@@ -181,7 +181,7 @@ def test_to_qubit_state_w():
 
 def test_to_qubit_state_rejects_bunching():
     w0, w1 = 0, 1
-    bunched = FockState.from_counts({w0: 2})
+    bunched = from_counts({w0: 2})
     with pytest.raises(ValueError):
         to_qubit_state(bunched, [(w0, w1)])
 
@@ -209,4 +209,4 @@ def test_qubit_state_validation():
     with pytest.raises(ValueError):
         QubitState(np.zeros(4)).normalized()
     with pytest.raises(ValueError, match="zero state has no qubit reading"):
-        to_qubit_state(FockState.zero(), [(0, 1)])
+        to_qubit_state(FockState(), [(0, 1)])

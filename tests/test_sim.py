@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (add_scaled, assert_same_outcomes, naive_solve_correction,
-                     reference_outcomes, signature_distribution, total_photons)
+from helpers import (add_scaled, amplitude, assert_same_outcomes, from_counts,
+                     naive_solve_correction, reference_outcomes, signature_distribution,
+                     total_photons)
 from sculpt import bigraph, fock, sim
 from sculpt.bigraph import ghz, w
 from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
@@ -28,53 +29,53 @@ def _two_loc_circuit():
 
 def test_hwp_turns_pair_into_bunches():
     # a†_H a†_V -> a†_D a†_A = (a†²_H - a†²_V)/2
-    state = FockState.from_counts({0: 1, 1: 1})
+    state = from_counts({0: 1, 1: 1})
     out = sim.apply_element(state, HWP("a", 0, 1))
     expect = add_scaled(
-        fock.scale(FockState.from_counts({0: 2}), 0.5 * math.sqrt(2)),
-        -0.5 * math.sqrt(2), FockState.from_counts({1: 2}))
+        fock.scale(from_counts({0: 2}), 0.5 * math.sqrt(2)),
+        -0.5 * math.sqrt(2), from_counts({1: 2}))
     assert fock.allclose(out, expect)
 
 
 def test_uhwp_on_diagonal_photon():
     # a†_D -> a†_V under the rotated plate
-    state = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), R2,
-                       FockState.from_counts({1: 1}))
+    state = add_scaled(fock.scale(from_counts({0: 1}), R2), R2,
+                       from_counts({1: 1}))
     out = sim.apply_element(state, UHWP("a", 0, 1))
-    assert fock.allclose(out, FockState.from_counts({1: 1}))
+    assert fock.allclose(out, from_counts({1: 1}))
 
 
 def test_pbs_convention():
     el = PBS("a", "b", 0, 1, 2, 3)
-    assert fock.allclose(sim.apply_element(FockState.from_counts({0: 1}), el),
-                         FockState.from_counts({0: 1}))
-    assert fock.allclose(sim.apply_element(FockState.from_counts({1: 1}), el),
-                         FockState.from_counts({3: 1}))
-    assert fock.allclose(sim.apply_element(FockState.from_counts({3: 1}), el),
-                         FockState.from_counts({1: 1}))
-    assert fock.allclose(sim.apply_element(FockState.from_counts({2: 1}), el),
-                         FockState.from_counts({2: 1}))
+    assert fock.allclose(sim.apply_element(from_counts({0: 1}), el),
+                         from_counts({0: 1}))
+    assert fock.allclose(sim.apply_element(from_counts({1: 1}), el),
+                         from_counts({3: 1}))
+    assert fock.allclose(sim.apply_element(from_counts({3: 1}), el),
+                         from_counts({1: 1}))
+    assert fock.allclose(sim.apply_element(from_counts({2: 1}), el),
+                         from_counts({2: 1}))
 
 
 def test_balanced_splitter_convention():
     el = Multiport(((0,), (1,)))
-    out = sim.apply_element(FockState.from_counts({0: 1}), el)
-    expect = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), R2,
-                        FockState.from_counts({1: 1}))
+    out = sim.apply_element(from_counts({0: 1}), el)
+    expect = add_scaled(fock.scale(from_counts({0: 1}), R2), R2,
+                        from_counts({1: 1}))
     assert fock.allclose(out, expect)
-    out1 = sim.apply_element(FockState.from_counts({1: 1}), el)
-    expect1 = add_scaled(fock.scale(FockState.from_counts({0: 1}), R2), -R2,
-                         FockState.from_counts({1: 1}))
+    out1 = sim.apply_element(from_counts({1: 1}), el)
+    expect1 = add_scaled(fock.scale(from_counts({0: 1}), R2), -R2,
+                         from_counts({1: 1}))
     assert fock.allclose(out1, expect1)
 
 
 def test_tritter_is_fourier():
     el = Multiport(((0,), (1,), (2,)))
     w3 = np.exp(2j * math.pi / 3)
-    out = sim.apply_element(FockState.from_counts({1: 1}), el)
+    out = sim.apply_element(from_counts({1: 1}), el)
     for k in range(3):
         expect = w3 ** k / math.sqrt(3)
-        assert abs(out.amplitude({k: 1}) - expect) < 1e-12
+        assert abs(amplitude(out, {k: 1}) - expect) < 1e-12
 
 
 def test_source_normalization():
@@ -348,7 +349,7 @@ def test_non_permutation_swap_raises_without_check(mapping):
     with pytest.raises(ValueError, match="not a permutation"):
         sim.run_heralded(c, check=False)
     with pytest.raises(ValueError, match="not a permutation"):
-        sim.apply_element(FockState.from_counts({0: 1}), Swap(mapping))
+        sim.apply_element(from_counts({0: 1}), Swap(mapping))
 
 
 @pytest.mark.parametrize("kind,n,peak", [("type5", 3, 720), ("ghz", 5, 64), ("ghz", 8, 512)])
@@ -497,6 +498,18 @@ def test_solve_correction_bit_flip():
     labels, fid = _solve(flipped, t)
     assert fid > 1 - 1e-9
     assert any(l.startswith("X") for l in labels)
+
+
+def test_solve_correction_ignores_the_phase_of_a_target_entry_below_the_fit_tolerance():
+    # the target's last amplitude is inside its support but under the 1e-7
+    # fit tolerance, where the residual is exactly zero: that entry must
+    # impose no phase, and the fidelity is 1 - 2.2e-15
+    t = QubitState(np.array([1, 0, 0, 5e-8], dtype=complex))
+    residual = QubitState(np.array([1, 0, 0, 0], dtype=complex))
+    labels, fid = _solve(residual, t)
+    assert labels == ("I", "I") and fid > 1 - 1e-14
+    naive_labels, naive_fid = naive_solve_correction(residual, t, fock.ATOL)
+    assert naive_labels == labels and abs(naive_fid - fid) < 1e-15
 
 
 def test_solve_correction_reports_failure():
