@@ -165,11 +165,12 @@ def hadamard_all(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def qubit_amplitudes(states: Sequence[FockState],
-                     mode_rails: Sequence[tuple[WireId, WireId]]) -> np.ndarray:
-    """Read one-boson-per-mode Fock states into the rows of one
-    len(states) x 2^n amplitude matrix, unnormalized, in one pass over their
-    terms.
+def qubit_entries(states: Sequence[FockState],
+                  mode_rails: Sequence[tuple[WireId, WireId]]) -> tuple[np.ndarray, np.ndarray]:
+    """Read one-boson-per-mode Fock states into their qubit entries in one
+    pass over their terms: the sorted int64 keys ``row << n | index`` of
+    every term, ``row`` its state's position and ``index`` its 2^n qubit
+    index, and the matching unnormalized amplitudes.
 
     ``mode_rails[j]`` names mode j's two wires (rail 0, rail 1); mode 0 is
     the most significant bit.  Terms with bunched modes, empty modes, or
@@ -179,8 +180,7 @@ def qubit_amplitudes(states: Sequence[FockState],
     slot = {w: (n - 1 - j, bit) for j, pair in enumerate(mode_rails)
             for bit, w in enumerate(pair)}
     index_of: dict[fock.Occupation, int] = {}
-    at_row: list[int] = []
-    at_idx: list[int] = []
+    keys: list[int] = []
     values: list[complex] = []
     for row, state in enumerate(states):
         for occ, amp in state.terms():
@@ -198,13 +198,12 @@ def qubit_amplitudes(states: Sequence[FockState],
                 if modes != (1 << n) - 1 or photons != n:
                     raise ValueError("state is not one boson per mode")
                 index_of[occ] = idx
-            at_row.append(row)
-            at_idx.append(idx)
+            keys.append(row << n | idx)
             values.append(amp)
-    amps = np.zeros((len(states), 2 ** n), dtype=complex)
-    # distinct terms of one state are distinct qubit indices
-    amps[at_row, at_idx] = values
-    return amps
+    # distinct terms of one state are distinct qubit indices, so no key repeats
+    keys_arr = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys_arr)
+    return keys_arr[order], np.array(values, dtype=complex)[order]
 
 
 def to_qubit_state(state: FockState,
@@ -217,7 +216,9 @@ def to_qubit_state(state: FockState,
     with bunched modes, empty modes, or photons on other wires raise, and
     so does the zero state.
     """
-    vec = qubit_amplitudes([state], mode_rails)[0]
+    index, values = qubit_entries([state], mode_rails)
+    vec = np.zeros(2 ** len(mode_rails), dtype=complex)
+    vec[index] = values
     weight = float(np.vdot(vec, vec).real)
     if weight == 0:
         raise ValueError("zero state has no qubit reading")

@@ -20,7 +20,8 @@ Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
 solved exactly) that map a residual onto the target; an outcome is
 identity-correct when no correction is needed.  All outcomes of one call are
-solved together: one amplitude matrix, one walk over the bit-flip masks.
+solved together, from their residuals' nonzero qubit entries: one sorted key
+array, one walk over the bit-flip masks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from . import fock
 from .circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
                       ReturnMerge, Source, Swap, UHWP, validate)
 from .fock import FockState
-from .sculpting import QubitState, qubit_amplitudes, to_qubit_state
+from .sculpting import QubitState, qubit_entries, to_qubit_state
 
 _R2 = 1.0 / math.sqrt(2.0)
 
@@ -371,70 +372,66 @@ def _phase_solutions(rows: list[np.ndarray], angles: np.ndarray, n: int):
         yield consistent, x
 
 
-class _CorrectionPlan:
-    """Everything :meth:`solve` needs of one target that does not depend on
-    the residuals: the normalized target's support, its amplitudes and bits
-    there, and the rows of the phase equations.  Built once per target."""
+def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows: int,
+                 atol: float) -> list[tuple[tuple[str, ...], float] | None]:
+    """Corrections for a batch of residuals, read as their entries: the
+    sorted keys ``row << n | index`` and the amplitudes there (see
+    :func:`sculpting.qubit_entries`).
 
-    def __init__(self, target: QubitState) -> None:
-        t = target.normalized().amps
-        self.n = n = target.n_qubits
-        self.supp = np.flatnonzero(np.abs(t) > 1e-10)
-        self.t_supp = t[self.supp]
-        self.abs_t_supp = np.abs(self.t_supp)
-        self.bits = ((self.supp[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
-        self.rows = list(self.bits[1:] - self.bits[0])
-
-    def solve(self, amps: np.ndarray,
-              atol: float) -> list[tuple[tuple[str, ...], float] | None]:
-        """Corrections for a batch of unit rows.
-
-        Walks the bit-flip masks once, in increasing order, testing every
-        still-unresolved row at each; a row takes the first mask and the
-        first phase solution there whose fidelity is >= 1 - atol.  Only the
-        support columns ``supp ^ mask`` are read: a row is nil off them when
-        they hold all of its entries above 1e-7, and a diagonal phase keeps
-        the unit norm, so the fidelity is |t_supp . corrected|^2.
-        """
-        if amps.shape[1] != 2 ** self.n:
-            raise ValueError("qubit counts differ")
-        found: list[tuple[tuple[str, ...], float] | None] = [None] * len(amps)
-        mags = np.abs(amps)
-        big = np.count_nonzero(mags > 1e-7, axis=1)
-        unresolved = np.ones(len(amps), dtype=bool)
-        pending = np.flatnonzero(unresolved)
-        for a_mask in range(2 ** self.n):
-            if not pending.size:
+    Walks the bit-flip masks once, in increasing order, testing every
+    pending row at each; a row takes the first mask and the first phase
+    solution there whose fidelity is >= 1 - atol.  Only the entries at the
+    support indices ``supp ^ mask`` are looked up, a missing key reading as
+    0: a row is nil off them when they hold all of its entries above 1e-7,
+    and a diagonal phase keeps the unit norm, so the fidelity is
+    |t_supp . corrected|^2.  The phase equations come from the support
+    entries above the 1e-7 fit tolerance alone, where a fitting row is
+    nonzero.
+    """
+    n = target.n_qubits
+    t = target.normalized().amps
+    supp = np.flatnonzero(np.abs(t) > 1e-10)
+    t_supp = t[supp]
+    abs_t_supp = np.abs(t_supp)
+    bits = ((supp[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
+    strong = np.flatnonzero(abs_t_supp > 1e-7)
+    eq_rows = list(bits[strong[1:]] - bits[strong[0]])
+    row_of = keys >> n
+    norms = np.sqrt(np.bincount(row_of, weights=(amps.conj() * amps).real, minlength=n_rows))
+    if not norms.all():
+        raise ValueError("zero state has no qubit reading")
+    amps = amps / norms[row_of]
+    big = np.bincount(row_of[np.abs(amps) > 1e-7], minlength=n_rows)
+    found: list[tuple[tuple[str, ...], float] | None] = [None] * n_rows
+    pending = np.arange(n_rows)
+    for a_mask in range(2 ** n):
+        if not pending.size:
+            break
+        want = pending[:, None] << n | (supp ^ a_mask)
+        at = keys.searchsorted(want).clip(max=keys.size - 1)
+        on_supp = np.where(keys[at] == want, amps[at], 0)
+        mags = np.abs(on_supp)
+        fits = ~np.any(np.abs(mags - abs_t_supp) > 1e-7, axis=1)
+        fits &= np.count_nonzero(mags > 1e-7, axis=1) == big[pending]
+        cand = np.flatnonzero(fits)
+        if not cand.size:
+            continue
+        perm = on_supp[cand]
+        q = np.angle(t_supp[strong] / perm[:, strong])
+        hit = np.zeros(cand.size, dtype=bool)
+        for consistent, x in _phase_solutions(eq_rows, _wrap(q[:, 1:] - q[:, :1]).T, n):
+            live = np.flatnonzero(consistent & ~hit)
+            if not live.size:
                 break
-            cols = self.supp ^ a_mask
-            on_supp = mags[pending[:, None], cols]
-            fits = ~np.any(np.abs(on_supp - self.abs_t_supp) > 1e-7, axis=1)
-            fits &= np.count_nonzero(on_supp > 1e-7, axis=1) == big[pending]
-            cand = pending[fits]
-            if not cand.size:
-                continue
-            perm = amps[cand[:, None], cols]
-            # A zero entry (a target amplitude under the 1e-7 fit tolerance)
-            # imposes no phase.
-            q = np.angle(np.divide(self.t_supp, perm, out=np.zeros_like(perm),
-                                   where=perm != 0))
-            hit = np.zeros(cand.size, dtype=bool)
-            for consistent, x in _phase_solutions(self.rows, _wrap(q[:, 1:] - q[:, :1]).T,
-                                                  self.n):
-                live = np.flatnonzero(consistent & ~hit)
-                if not live.size:
-                    break
-                corrected = np.exp(1j * (x[live] @ self.bits.T)) * perm[live]
-                fid = np.abs(np.vecdot(self.t_supp, corrected)) ** 2
-                good = fid >= 1.0 - atol
-                rows = live[good]
-                for row, labels, f in zip(cand[rows], _labels(a_mask, x[rows]), fid[good]):
-                    found[row] = (labels, float(f))
-                hit[rows] = True
-            if hit.any():
-                unresolved[cand[hit]] = False
-                pending = np.flatnonzero(unresolved)
-        return found
+            corrected = np.exp(1j * (x[live] @ bits.T)) * perm[live]
+            fid = np.abs(np.vecdot(t_supp, corrected)) ** 2
+            good = fid >= 1.0 - atol
+            rows = live[good]
+            for row, labels, f in zip(pending[cand[rows]], _labels(a_mask, x[rows]), fid[good]):
+                found[row] = (labels, float(f))
+            hit[rows] = True
+        pending = np.delete(pending, cand[hit])
+    return found
 
 
 def _labels(a_mask: int, x: np.ndarray) -> list[tuple[str, ...]]:
@@ -477,21 +474,15 @@ def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
     phase), correctable (a local correction reaches the target exactly), and
     failed (correction is None).
     """
-    plan = _CorrectionPlan(target)
     rails = _output_rails(circuit)
-    # Blocks of rows keep every outcomes x 2^n array under 2^16 entries.
-    block = max(1, (1 << 16) >> plan.n)
+    if len(rails) != target.n_qubits:
+        raise ValueError("qubit counts differ")
+    keys, amps = qubit_entries([oc.residual for oc in outcomes], rails)
     out = []
-    for start in range(0, len(outcomes), block):
-        chunk = outcomes[start:start + block]
-        amps = qubit_amplitudes([oc.residual for oc in chunk], rails)
-        norms = np.linalg.norm(amps, axis=1)
-        if not norms.all():
-            raise ValueError("zero state has no qubit reading")
-        for oc, sol in zip(chunk, plan.solve(amps / norms[:, None], atol)):
-            labels, fid = sol or (None, None)
-            out.append(HeraldOutcome(oc.pattern, oc.probability, oc.residual, labels, fid,
-                                     labels is not None and all(l == "I" for l in labels)))
+    for oc, sol in zip(outcomes, _corrections(target, keys, amps, len(outcomes), atol)):
+        labels, fid = sol or (None, None)
+        out.append(HeraldOutcome(oc.pattern, oc.probability, oc.residual, labels, fid,
+                                 labels is not None and all(l == "I" for l in labels)))
     return out
 
 

@@ -402,26 +402,29 @@ def naive_solve_correction(residual, target, atol: float = 1e-9):
     """Reference for ``sim.classify_feedforward``: one residual at a time,
     one bit-flip mask at a time, with the scalar phase solver and label
     formatter above."""
-    plan = sim._CorrectionPlan(target)
     t = target.normalized().amps
     r = residual.normalized().amps
     if r.size != t.size:
         raise ValueError("qubit counts differ")
+    n = target.n_qubits
     index = np.arange(t.size)
+    supp = np.flatnonzero(np.abs(t) > 1e-10)
     off_supp = np.flatnonzero(np.abs(t) <= 1e-10)
-    all_bits = ((index[:, None] >> np.arange(plan.n - 1, -1, -1)) & 1).astype(int)
-    for a_mask in range(2 ** plan.n):
+    all_bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
+    # phase equations only where |t| is above the 1e-7 fit tolerance, so
+    # that every fitting residual is nonzero there
+    strong = np.flatnonzero(np.abs(t) > 1e-7)
+    rows = list(all_bits[strong[1:]] - all_bits[strong[0]])
+    for a_mask in range(2 ** n):
         perm = r[index ^ a_mask]
-        perm_supp = perm[plan.supp]
-        if np.any(np.abs(np.abs(perm_supp) - plan.abs_t_supp) > 1e-7):
+        if np.any(np.abs(np.abs(perm[supp]) - np.abs(t[supp])) > 1e-7):
             continue
         if np.any(np.abs(perm[off_supp]) > 1e-7):
             continue
-        q = np.angle(np.divide(plan.t_supp, perm_supp, out=np.zeros_like(perm_supp),
-                               where=perm_supp != 0))
-        for x in naive_phase_solutions(plan.rows, sim._wrap(q[1:] - q[0]), plan.n):
+        q = np.angle(t[strong] / perm[strong])
+        for x in naive_phase_solutions(rows, sim._wrap(q[1:] - q[0]), n):
             corrected = np.exp(1j * (all_bits @ x)) * perm
             fid = abs(np.vdot(t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
             if fid >= 1.0 - atol:
-                return naive_labels(a_mask, x, plan.n), float(fid)
+                return naive_labels(a_mask, x, n), float(fid)
     return None

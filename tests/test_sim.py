@@ -512,6 +512,24 @@ def test_solve_correction_ignores_the_phase_of_a_target_entry_below_the_fit_tole
     assert naive_labels == labels and abs(naive_fid - fid) < 1e-15
 
 
+def test_solve_correction_drops_the_phase_equation_of_a_target_entry_below_the_fit_tolerance():
+    # the zero residual entry faces a 5e-8 target entry: an equation asking
+    # phase 0 there contradicts the others, yet P(pi/2) on both modes
+    # reaches fidelity 1 - 9e-16
+    t = QubitState(np.array([1, 1j, 1j, 5e-8]))
+    residual = QubitState(np.array([1, 1, 1, 0]) / math.sqrt(3))
+    labels, fid = _solve(residual, t)
+    assert labels == ("P(1/2pi)", "P(1/2pi)") and fid > 1 - 1e-14
+    naive_labels, naive_fid = naive_solve_correction(residual, t, fock.ATOL)
+    assert naive_labels == labels and abs(naive_fid - fid) < 1e-15
+
+
+def test_classify_rejects_a_target_of_another_qubit_count():
+    outcome = sim.HeraldOutcome(((9, 1),), 1.0, _rail_state(target_state("ghz", 2).amps, 2))
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        sim.classify_feedforward([outcome], target_state("ghz", 3), _qubit_rails_circuit(2))
+
+
 def test_solve_correction_reports_failure():
     t = target_state("ghz", 2)
     other = QubitState(np.array([1, 0, 0, 0], dtype=complex))
@@ -535,15 +553,13 @@ def test_classify_matches_per_outcome_solve_correction(kind, n, dual_rail):
 
 
 @pytest.mark.parametrize("kind,n", [("w", 7), ("ghz", 10)])
-def test_classify_in_row_blocks_matches_the_reference(kind, n):
-    # 2^16 >> n rows per block: W 7 takes two blocks, the last one partial,
-    # and GHZ 10 sixteen
+def test_classify_matches_the_reference_on_larger_schemes(kind, n):
     g = bigraph.preset(kind, n)
     c = compile_graph(g)
     target = oracle_qubit_state(g)
     outcomes = sim.run_heralded(c)
     classified = sim.classify_feedforward(outcomes, target, c)
-    assert len(classified) == len(outcomes) > (1 << 16) >> n
+    assert len(classified) == len(outcomes)
     for oc, cl in zip(outcomes, classified):
         assert cl.pattern == oc.pattern
         labels, fid = naive_solve_correction(sim.residual_qubits(oc, c), target, fock.ATOL)
@@ -659,10 +675,11 @@ def residual_batches(draw):
     1e-6 amplitude leaked off the target's support, the target's magnitudes
     under a bit flip with random phases, or random amplitudes.  A 5e-8
     magnitude lies inside the target's support (|t| > 1e-10) but below the
-    1e-7 cut-off of the per-row count."""
+    1e-7 cut-off of the per-row count; a 1.5e-7 one poses a phase equation
+    yet sits within 2e-7 of zero."""
     n = draw(st.integers(1, 4))
     size = 2 ** n
-    mag = st.sampled_from([0.0, 5e-8, 0.1, 0.3, 0.5, 0.7, 1.0])
+    mag = st.sampled_from([0.0, 5e-8, 1.5e-7, 0.1, 0.3, 0.5, 0.7, 1.0])
     angle = st.floats(0.0, 2 * math.pi)
     mags = np.array(draw(st.lists(mag, min_size=size, max_size=size)))
     assume(mags.any())
