@@ -122,6 +122,15 @@ class SchemeReport:
             f"runtime = {self.runtime_s:.3f}s",
         ]
 
+    def passes(self, atol: float) -> bool:
+        """The scheme's verdict: an EPM graph with no bunching whose oracle
+        state is genuinely entangled and is the target, and at least one
+        outcome corrected onto it, every one within ``atol``."""
+        return (self.epm and self.no_bunching and self.genuine
+                and self.oracle_target_fidelity >= 1.0 - atol
+                and self.n_correctable > 0
+                and self.min_corrected_fidelity >= 1.0 - atol)
+
 
 def _read_qubits(g: SculptingBigraph, state: fock.FockState,
                  table: OracleWires) -> QubitState:
@@ -145,12 +154,12 @@ def verify_scheme(g: SculptingBigraph, kind: str, n: int,
     table = oracle_wires(g)
     final = apply_sculpting(g, table=table)
     nb = no_bunching_check(final, g, table=table)
-    circuit = compile_graph(g)  # validates; a non-EPM graph raises here
+    circuit = compile_graph(g)  # a non-EPM graph raises here
     oracle_q = _read_qubits(g, final, table)
     target = target_state(kind, n)
     fid_ot = fidelity(oracle_q, target)
 
-    outcomes = sim.run_heralded(circuit, check=False)
+    outcomes = sim.run_heralded(circuit)
     classified = sim.classify_feedforward(outcomes, oracle_q, circuit, atol=atol)
     p_ff = sim.success_probability(classified, "with_ff")
     p_no = sim.success_probability(classified, "without_ff")

@@ -6,12 +6,14 @@ channels are the rails "0" and "1".  Elements are kept in application order;
 detector groups are terminal markers listed separately, one per subtractor.
 
 Element semantics (applied by :mod:`sculpt.sim`):
-    * ``HWP``   a†_H -> (a†_H + a†_V)/r2,  a†_V -> (a†_H - a†_V)/r2
-    * ``UHWP``  a†_H -> (-a†_H + a†_V)/r2, a†_V -> (a†_H + a†_V)/r2
-    * ``PBS``   H transmitted, V reflected, no reflection phase
     * ``Multiport`` n-port Fourier mixer U_jk = exp(2*pi*i*j*k/n)/sqrt(n),
       applied channel-wise to its port groups; a 2-port is a balanced BS
     * ``Swap``/``ReturnMerge``  wire permutations
+    * ``HWP``, ``UHWP`` and ``PBS`` lower to these in either encoding (see
+      :func:`dual_rail_element`): a wave plate is the balanced BS across
+      its mode's two wires, a†_H -> (a†_H + a†_V)/r2, a†_V -> (a†_H - a†_V)/r2,
+      the rotated plate the same BS with its ports in the order V, H; a PBS
+      transmits H and swaps the two V wires, with no reflection phase
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ class ReturnMerge:
 
 
 Element = Source | HWP | UHWP | PBS | Multiport | Swap | ReturnMerge
+
+
+def dual_rail_element(el: Element) -> Element:
+    """The element as it acts on its wires in either encoding: a wave plate
+    becomes the balanced beam splitter across its two wires, the rotated
+    plate with its V port first, and a PBS the swap of its two V wires.
+    Every other element is returned as is; each keeps its stage."""
+    if isinstance(el, HWP):
+        return Multiport(((el.h,), (el.v,)), el.stage)
+    if isinstance(el, UHWP):
+        return Multiport(((el.v,), (el.h,)), el.stage)
+    if isinstance(el, PBS):
+        return Swap(((el.a_v, el.b_v), (el.b_v, el.a_v)), el.stage)
+    return el
 
 
 @dataclass(frozen=True)

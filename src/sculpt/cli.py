@@ -152,7 +152,7 @@ def cmd_simulate(args) -> int:
                            f"{n_out} output modes")
         target = _target(args.target, n_out)
     try:
-        outcomes = sim.run_heralded(c, check=False)
+        outcomes = sim.run_heralded(c)
         if target is not None:
             outcomes = sim.classify_feedforward(outcomes, target, c, atol=atol)
     except (sim.SimulationError, ValueError) as exc:
@@ -197,11 +197,7 @@ def cmd_verify(args) -> int:
         raise CliError(f"{args.graph}: {exc}", EXIT_MISMATCH) from None
     for line in report.lines():
         print(line)
-    bad = (not report.epm or not report.no_bunching or not report.genuine
-           or report.oracle_target_fidelity < 1.0 - atol
-           or report.n_correctable == 0
-           or report.min_corrected_fidelity < 1.0 - atol)
-    return EXIT_MISMATCH if bad else EXIT_OK
+    return EXIT_OK if report.passes(atol) else EXIT_MISMATCH
 
 
 def cmd_export_dot(args) -> int:
@@ -239,10 +235,8 @@ def cmd_report(args) -> int:
         exp_ff_f, exp_no_f = _EXPECTED[kind]
         exp_ff = exp_ff_f(n)
         exp_no = exp_no_f(n) if exp_no_f else None
-        ok = (abs(rep.p_with_ff - exp_ff) <= atol
-              and (exp_no is None or abs(rep.p_without_ff - exp_no) <= atol)
-              and rep.oracle_target_fidelity >= 1.0 - atol
-              and rep.epm and rep.no_bunching and rep.genuine)
+        ok = (rep.passes(atol) and abs(rep.p_with_ff - exp_ff) <= atol
+              and (exp_no is None or abs(rep.p_without_ff - exp_no) <= atol))
         if not ok:
             mismatches += 1
         print(f"{kind:8} {n:>2} "

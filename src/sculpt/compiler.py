@@ -33,7 +33,7 @@ from .bigraph import (CircleKind, Edge, SculptingBigraph, non_epm_circles,
                       subtraction_operators)
 from .circuit import (DUAL_RAIL, POLARIZATION, Circuit, DetectorGroup, HWP,
                       Multiport, PBS, ReturnMerge, Source, Swap, UHWP, Wire,
-                      validate)
+                      dual_rail_element)
 from .fock import ATOL
 
 
@@ -304,13 +304,9 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
         groups.append(DetectorGroup(dot, det_wires, 1))
 
     outputs = [wid(label, ch) for label in mains for ch in ("H", "V")]
-    circuit = Circuit(wires, elements, groups, outputs, list(mains),
-                      POLARIZATION, name=g.name or "circuit",
-                      layout=Layout(loc_wires, low_locs, port_locs, blocks))
-    diags = validate(circuit)
-    if diags:  # pragma: no cover - compiler bug guard
-        raise CompileError(diags)
-    return circuit
+    return Circuit(wires, elements, groups, outputs, list(mains),
+                   POLARIZATION, name=g.name or "circuit",
+                   layout=Layout(loc_wires, low_locs, port_locs, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +319,14 @@ _RAIL = {"H": "0", "V": "1"}
 def to_dual_rail(c: Circuit) -> Circuit:
     """Re-encode a polarization circuit over two spatial rails per location.
 
-    PBSs become wire permutations; each wave plate becomes a balanced beam
-    splitter across the two rails, the rotated plate with its ports in the
-    other order (rail 1 first); Fourier ports and permutations carry over
-    unchanged.  Wire ids are preserved, so outcome statistics are identical
+    Each element is lowered by :func:`circuit.dual_rail_element`: a PBS
+    becomes a rail swap, a wave plate a balanced beam splitter across the
+    two rails.  Wire ids are preserved, so outcome statistics are identical
     by construction.
     """
     if c.encoding != POLARIZATION:
         raise ValueError("circuit is already dual-rail encoded")
     wires = [Wire(w.id, w.mode, _RAIL[w.channel]) for w in c.wires]
-    elements = []
-    for el in c.elements:
-        if isinstance(el, HWP):
-            elements.append(Multiport(((el.h,), (el.v,)), el.stage))
-        elif isinstance(el, UHWP):
-            elements.append(Multiport(((el.v,), (el.h,)), el.stage))
-        elif isinstance(el, PBS):
-            elements.append(Swap(((el.a_v, el.b_v), (el.b_v, el.a_v)), el.stage))
-        else:
-            elements.append(el)
-    return Circuit(wires, elements, list(c.detector_groups), list(c.outputs),
-                   list(c.output_modes), DUAL_RAIL, name=c.name,
-                   layout=c.layout)
+    return Circuit(wires, [dual_rail_element(el) for el in c.elements],
+                   list(c.detector_groups), list(c.outputs), list(c.output_modes),
+                   DUAL_RAIL, name=c.name, layout=c.layout)

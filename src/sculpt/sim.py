@@ -1,20 +1,23 @@
 """Exact Fock-space simulation of circuits with heralded post-selection.
 
-The propagated state is held sparsely; every element is either a wire
-permutation or a linear substitution on creation operators, so propagation
-is exact up to floating point.  Permutations touch no term: one backward
-pass drops them and moves every other element onto the circuit wires that
-the permutations after it carry its wires to, so the state, each filter and
-the final outcomes are keyed by final circuit wires throughout.  The state
-is a product of factors, each a sparse state on a disjoint set of wires: a
-source, wave plate or multiport first merges, by tensor product, the
-factors that own its wires and then acts on that one factor.  One pass over
-the final state buckets the terms by their detector-wire occupation
-signature: each signature that meets every detector group's required count
-becomes one outcome with an exact conditional residual state and
-probability.  Each group's count filter is projected, on the factor that
-holds its wires, as soon as its subtractor's herald is fixed, so rejected
-branches are not carried through the rest of the circuit.
+The propagated state is held sparsely.  Each element is first lowered by
+:func:`circuit.dual_rail_element`, so in either encoding a wave plate acts
+as a balanced beam splitter and a PBS as a swap, and three operations
+remain: create (a source), permute (a swap or merge) and mix (a multiport,
+a linear substitution on creation operators); propagation is exact up to
+floating point.  Permutations touch no term: one backward pass drops them
+and moves every other element onto the circuit wires that the permutations
+after it carry its wires to, so the state, each filter and the final
+outcomes are keyed by final circuit wires throughout.  The state is a
+product of factors, each a sparse state on a disjoint set of wires: a
+source or multiport first merges, by tensor product, the factors that own
+its wires and then acts on that one factor.  One pass over the final state
+buckets the terms by their detector-wire occupation signature: each
+signature that meets every detector group's required count becomes one
+outcome with an exact conditional residual state and probability.  Each
+group's count filter is projected, on the factor that holds its wires, as
+soon as its subtractor's herald is fixed, so rejected branches are not
+carried through the rest of the circuit.
 
 Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
@@ -38,12 +41,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fock
-from .circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
-                      ReturnMerge, Source, Swap, UHWP, validate)
+from .circuit import (Circuit, DetectorGroup, Multiport, ReturnMerge, Source, Swap,
+                      dual_rail_element, validate)
 from .fock import FockState
 from .sculpting import QubitState, qubit_entries, to_qubit_state
-
-_R2 = 1.0 / math.sqrt(2.0)
 
 
 class SimulationError(RuntimeError):
@@ -57,11 +58,9 @@ def _fourier(n: int) -> tuple[tuple[complex, ...], ...]:
 
 
 def _permutation(el) -> dict[int, int] | None:
-    """The wire mapping (src -> dst) of a permutation element, None for any
-    other element.  A mapping that does not permute its own wires raises
+    """The wire mapping (src -> dst) of a swap or merge, None for any other
+    lowered element.  A mapping that does not permute its own wires raises
     ``ValueError``."""
-    if isinstance(el, PBS):
-        return {el.a_v: el.b_v, el.b_v: el.a_v}
     if not isinstance(el, (Swap, ReturnMerge)):
         return None
     mapping = dict(el.mapping)
@@ -71,8 +70,10 @@ def _permutation(el) -> dict[int, int] | None:
 
 
 def apply_element(state: FockState, el) -> FockState:
-    """Apply one element's action; unknown elements raise.  A permutation is
-    the substitution a†_src -> a†_dst."""
+    """Apply one element's action, lowered by
+    :func:`circuit.dual_rail_element`; unknown elements raise.  A
+    permutation is the substitution a†_src -> a†_dst."""
+    el = dual_rail_element(el)
     perm = _permutation(el)
     if perm is not None:
         return fock.substitute(state, {src: ((dst, 1.0),) for src, dst in perm.items()})
@@ -83,14 +84,6 @@ def apply_element(state: FockState, el) -> FockState:
         if el.photons < 2:
             return out
         return fock.scale(out, 1.0 / math.sqrt(math.factorial(el.photons)))
-    if isinstance(el, HWP):
-        rules = {el.h: ((el.h, _R2), (el.v, _R2)),
-                 el.v: ((el.h, _R2), (el.v, -_R2))}
-        return fock.substitute(state, rules)
-    if isinstance(el, UHWP):
-        rules = {el.h: ((el.h, -_R2), (el.v, _R2)),
-                 el.v: ((el.h, _R2), (el.v, _R2))}
-        return fock.substitute(state, rules)
     if isinstance(el, Multiport):
         n = el.n
         u = _fourier(n)
@@ -105,12 +98,10 @@ def apply_element(state: FockState, el) -> FockState:
 
 
 def _moved(el, to: dict[int, int]):
-    """A non-permutation element moved onto the wires ``to`` maps its wires
-    to (a wire not in ``to`` stays)."""
+    """A lowered source or multiport moved onto the wires ``to`` maps its
+    wires to (a wire not in ``to`` stays)."""
     if isinstance(el, Source):
         return Source(to.get(el.wire, el.wire), el.photons, el.stage)
-    if isinstance(el, (HWP, UHWP)):
-        return type(el)(el.mode, to.get(el.h, el.h), to.get(el.v, el.v), el.stage)
     if isinstance(el, Multiport):
         return Multiport(tuple(tuple(to.get(w, w) for w in grp) for grp in el.ports),
                          el.stage)
@@ -118,8 +109,10 @@ def _moved(el, to: dict[int, int]):
 
 
 def _on_final_wires(circuit: Circuit) -> list:
-    """The circuit's non-permutation elements, in order, each moved onto the
-    circuit wires that the permutations after it carry its wires to.
+    """The circuit's elements lowered by :func:`circuit.dual_rail_element`,
+    in order, with the permutations dropped and every other element moved
+    onto the circuit wires that the permutations after it carry its wires
+    to.  A circuit and its dual-rail twin give the same list.
 
     Walking backward, ``final`` maps a wire at the current point to the
     circuit wire its photons end on; a permutation src -> dst updates it and
@@ -127,7 +120,7 @@ def _on_final_wires(circuit: Circuit) -> list:
     circuit would."""
     final: dict[int, int] = {}
     folded = []
-    for el in reversed(circuit.elements):
+    for el in map(dual_rail_element, reversed(circuit.elements)):
         perm = _permutation(el)
         if perm is None:
             folded.append(_moved(el, final))
@@ -209,8 +202,10 @@ def _herald_schedule(circuit: Circuit,
     return schedule
 
 
-def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
+def run_heralded(circuit: Circuit) -> list[HeraldOutcome]:
     """Enumerate every detector signature meeting all group requirements.
+    A circuit that :func:`circuit.validate` faults raises
+    :class:`SimulationError`.
 
     Outcome probabilities sum to the scheme's total heralding probability.
     Signatures violating any group's required count are dropped; a detector
@@ -222,10 +217,9 @@ def run_heralded(circuit: Circuit, check: bool = True) -> list[HeraldOutcome]:
     The state is held as a product of factors (see the module docstring)
     until the last element, after which all factors are merged.
     """
-    if check:
-        diags = validate(circuit)
-        if diags:
-            raise SimulationError("invalid circuit: " + "; ".join(diags))
+    diags = validate(circuit)
+    if diags:
+        raise SimulationError("invalid circuit: " + "; ".join(diags))
     elements = _on_final_wires(circuit)
     schedule = _herald_schedule(circuit, elements)
     # owner[w] is the factor, a (state, wires) pair, that holds wire w;
@@ -384,9 +378,9 @@ def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows:
     support indices ``supp ^ mask`` are looked up, a missing key reading as
     0: a row is nil off them when they hold all of its entries above 1e-7,
     and a diagonal phase keeps the unit norm, so the fidelity is
-    |t_supp . corrected|^2.  The phase equations come from the support
-    entries above the 1e-7 fit tolerance alone, where a fitting row is
-    nonzero.
+    |t_supp . corrected|^2, reported clamped to 1 against rounding.  The
+    phase equations come from the support entries above the 1e-7 fit
+    tolerance alone, where a fitting row is nonzero.
     """
     n = target.n_qubits
     t = target.normalized().amps
@@ -428,7 +422,7 @@ def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows:
             good = fid >= 1.0 - atol
             rows = live[good]
             for row, labels, f in zip(pending[cand[rows]], _labels(a_mask, x[rows]), fid[good]):
-                found[row] = (labels, float(f))
+                found[row] = (labels, min(float(f), 1.0))
             hit[rows] = True
         pending = np.delete(pending, cand[hit])
     return found

@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from sculpt import fock, sim
+from sculpt.circuit import dual_rail_element
 from sculpt.fock import FockState
 
 Poly = dict[tuple[int, ...], complex]
@@ -246,8 +247,10 @@ def naive_relabel(state: FockState, mapping) -> FockState:
 
 
 def apply(state: FockState, el) -> FockState:
-    """``sim.apply_element``, except that a permutation re-keys the terms
-    through :func:`naive_relabel` instead of the production substitution."""
+    """``sim.apply_element``, except that a permutation, a PBS included,
+    re-keys the terms through :func:`naive_relabel` instead of the
+    production substitution."""
+    el = dual_rail_element(el)
     perm = sim._permutation(el)
     return sim.apply_element(state, el) if perm is None else naive_relabel(state, perm)
 

@@ -1,5 +1,6 @@
 """Targets, fidelity, genuineness, and the end-to-end scheme report."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,16 @@ def test_verify_scheme_runs_the_oracle_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epm", False), ("no_bunching", False), ("genuine", False),
+    ("oracle_target_fidelity", 0.5), ("n_correctable", 0), ("min_corrected_fidelity", 0.5),
+])
+def test_scheme_report_passes_only_when_every_check_holds(field, value):
+    rep = verify_scheme(ghz(2), "ghz", 2)
+    assert rep.passes(fock.ATOL)
+    assert not dataclasses.replace(rep, **{field: value}).passes(fock.ATOL)
+
+
 def test_verify_scheme_validates_the_circuit_once(monkeypatch):
     calls = []
 
@@ -148,7 +159,9 @@ def test_verify_scheme_validates_the_circuit_once(monkeypatch):
         calls.append(c)
         return circuit.validate(c)
 
-    monkeypatch.setattr(compiler, "validate", counting)
+    # compile_graph leaves validation to run_heralded; a validate that the
+    # compiler imported again would be counted too
+    monkeypatch.setattr(compiler, "validate", counting, raising=False)
     monkeypatch.setattr(sim, "validate", counting)
     rep = verify_scheme(ghz(3), "ghz", 3)
     assert abs(rep.p_with_ff - 1 / 32) < 1e-9

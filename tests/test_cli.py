@@ -148,6 +148,21 @@ def test_dual_rail_flag(tmp_path, capsys):
     assert all(el["kind"] != "pbs" for el in doc["elements"])
 
 
+@pytest.mark.parametrize("kind,n", [("ghz", 3), ("w", 3), ("type5", 3)])
+def test_dual_rail_twin_simulates_to_the_same_report(tmp_path, capsys, kind, n):
+    g = tmp_path / "g.json"
+    run_cli(capsys, "preset", "--kind", kind, "--n", str(n), "--out", str(g))
+    reports = []
+    for flags in ([], ["--dual-rail"]):
+        c = tmp_path / "c.json"
+        r = tmp_path / "r.json"
+        assert run_cli(capsys, "compile", "--graph", str(g), *flags, "--out", str(c))[0] == 0
+        assert run_cli(capsys, "simulate", "--circuit", str(c), "--target", kind,
+                       "--report", str(r))[0] == 0
+        reports.append(json.loads(r.read_text()))
+    assert reports[0]["outcomes"] and reports[0] == reports[1]
+
+
 def test_config_file(tmp_path, capsys):
     g = tmp_path / "g.json"
     conf = tmp_path / "sculpt.conf"

@@ -164,13 +164,21 @@ def test_eager_heralding_matches_full_propagation_on_random_graphs(seed, n_main,
 
 
 @pytest.mark.parametrize("kind,n", PRESETS)
+def test_dual_rail_twin_folds_to_the_same_elements(kind, n):
+    # both encodings lower each element through circuit.dual_rail_element,
+    # so the twins propagate, filter and read out identically
+    c = _preset_circuit(kind, n, False)
+    assert sim._on_final_wires(to_dual_rail(c)) == sim._on_final_wires(c)
+
+
+@pytest.mark.parametrize("kind,n", PRESETS)
 @ENCODINGS
 def test_herald_schedule_filters_after_the_tap_off(kind, n, dual_rail):
-    # the tap-off (a PBS, or a rail swap in dual-rail) is a permutation and
-    # is folded away; each group is projected right after the plate in front
+    # the tap-off, a PBS lowered to a rail swap in either encoding, is
+    # folded away; each group is projected right after the plate in front
     # of its block's last tap-off: the last subtract-stage element joining
     # the group's mixer span to an output wire, so before any which-path
-    # mixer.  The folded lists of both encodings place alike.
+    # mixer.
     c = _preset_circuit(kind, n, dual_rail)
     elements = sim._on_final_wires(c)
     first_mix = next(i for i, el in enumerate(elements) if el.stage == "mix")
@@ -299,11 +307,13 @@ def test_swap_trades_photons_between_unjoined_factors():
 
 @pytest.mark.parametrize("required,kept", [(0, True), (1, False)])
 def test_filter_span_that_no_factor_owns(required, kept):
-    # the detector wire sees no element, so its count is 0 at the filter
+    # the detector wire sees no element, so its count is 0 at the filter;
+    # the wave plate folds to its beam splitter
     c = Circuit(_wires(4), [Source(0, 1), HWP("m0", 0, 1)],
                 [DetectorGroup(0, (2,), required)], outputs=[0, 1, 3], output_modes=[])
-    assert sim._on_final_wires(c) == c.elements
-    assert sim._herald_schedule(c, c.elements) == {0: [(c.detector_groups[0], {2})]}
+    folded = sim._on_final_wires(c)
+    assert folded == [Source(0, 1), Multiport(((0,), (1,)), "prep")]
+    assert sim._herald_schedule(c, folded) == {0: [(c.detector_groups[0], {2})]}
     outcomes = sim.run_heralded(c)
     assert bool(outcomes) == kept
     assert_same_outcomes(outcomes, reference_outcomes(c))
@@ -346,8 +356,8 @@ def test_stray_photon_in_a_rejected_signature_is_dropped():
 def test_non_permutation_swap_raises_without_check(mapping):
     c = Circuit(_wires(4), [Source(0, 1), Swap(mapping)], [], outputs=[0, 1, 2, 3],
                 output_modes=[])
-    with pytest.raises(ValueError, match="not a permutation"):
-        sim.run_heralded(c, check=False)
+    with pytest.raises(sim.SimulationError, match=r"invalid circuit: .* not a permutation"):
+        sim.run_heralded(c)
     with pytest.raises(ValueError, match="not a permutation"):
         sim.apply_element(from_counts({0: 1}), Swap(mapping))
 
@@ -396,6 +406,10 @@ def test_w_outcomes_need_phase_corrections():
     target = oracle_qubit_state(g)
     classified = sim.classify_feedforward(outcomes, target, c)
     assert all(oc.correction is not None for oc in classified)
+    # |t . corrected|^2 rounds above 1 on some of the 24 outcomes; the
+    # reported fidelity is clamped
+    assert len(classified) == 24
+    assert all(1 - 1e-12 <= oc.corrected_fidelity <= 1.0 for oc in classified)
     labels = {l for oc in classified for l in oc.correction}
     # the final Fourier port forces corrections beyond sign flips
     assert any(l.startswith("P(") for l in labels)
