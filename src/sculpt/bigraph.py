@@ -499,18 +499,21 @@ _DOT_STYLES = {"0": "solid", "1": "dotted", "+": "solid", "-": "solid", "custom"
 
 def graph_to_dot(g: SculptingBigraph) -> str:
     """Graphviz export: circles as labelled ellipses, dots as points."""
+    def quote(text: str) -> str:  # a DOT string: JSON's escapes of \ and "
+        return json.dumps(text, ensure_ascii=False)
+
     lines = ["digraph sculpting {"]
     lines.append("  rankdir=LR;")
-    mains = [str(j) for j in range(1, g.n_main + 1)]
-    for label in mains:
-        lines.append(f'  "c{label}" [label="{label}", shape=ellipse];')
+    for label in g.main_labels():
+        lines.append(f'  {quote("c" + label)} [label={quote(label)}, shape=ellipse];')
     for label in g.ancillas:
-        lines.append(f'  "c{label}" [label="{label}", shape=ellipse, style=dashed];')
-    for d in sorted({e.dot for e in g.edges}):
+        lines.append(f'  {quote("c" + label)} [label={quote(label)}, shape=ellipse, '
+                     f'style=dashed];')
+    for d in g.dot_ids():
         lines.append(f'  "d{d}" [label="", shape=point, width=0.12];')
     for e in g.edges:
         color = _DOT_COLORS[e.state.name]
         style = _DOT_STYLES[e.state.name]
-        lines.append(f'  "c{e.mode}" -> "d{e.dot}" [color={color}, style={style}];')
+        lines.append(f'  {quote("c" + e.mode)} -> "d{e.dot}" [color={color}, style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -215,6 +215,8 @@ def validate(c: Circuit) -> list[str]:
         for w in grp.wires:
             if w not in ids:
                 diags.append(f"detector group {grp.gid} reads undeclared wire {w}")
+        if len(set(grp.wires)) != len(grp.wires):
+            diags.append(f"detector group {grp.gid} repeats a wire")
         overlap = seen & set(grp.wires)
         if overlap:
             diags.append(f"detector group {grp.gid} overlaps wires {sorted(overlap)}")
@@ -371,6 +373,7 @@ def circuit_to_dot(c: Circuit) -> str:
             if w.id in g.wires:
                 users.append(f"det{g.gid}")
         for a, b in zip(users, users[1:]):
-            lines.append(f'  {a} -> {b} [label="{w.mode}.{w.channel}", fontsize=8];')
+            label = json.dumps(f"{w.mode}.{w.channel}", ensure_ascii=False)
+            lines.append(f'  {a} -> {b} [label={label}, fontsize=8];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,8 @@
 
 Subcommands: preset, compile, simulate, verify, export-dot, report.
 Exit codes: 0 success, 2 validation failure, 3 verification mismatch.
+Every fault ends in :func:`main`, which prints each of its messages as one
+``error:`` line; ``--atol`` is the one source of the tolerance.
 """
 
 from __future__ import annotations
@@ -49,33 +51,11 @@ def _write(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _load_config(path: str | None) -> dict:
-    """key=value lines; '#' starts a comment.  The only key is atol."""
-    conf: dict = {}
-    if not path:
-        return conf
-    for ln, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{ln}: expected key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key != "atol":
-            raise CliError(f"{path}:{ln}: unknown config key {key!r}")
-        try:
-            conf["atol"] = float(val)
-        except ValueError:
-            raise CliError(f"{path}:{ln}: atol {val!r} is not a number") from None
-    return conf
-
-
-def _atol(args, conf: dict) -> float:
-    """--atol, else the config's atol, else ``fock.ATOL``; finite, in [0, 1)."""
-    atol = args.atol if args.atol is not None else conf.get("atol", fock.ATOL)
-    if not 0.0 <= atol < 1.0:  # also rejects nan
-        raise CliError(f"atol {atol} is not a tolerance in [0, 1)")
-    return atol
+def _atol(args) -> float:
+    """--atol, which must be finite and in [0, 1)."""
+    if not 0.0 <= args.atol < 1.0:  # also rejects nan
+        raise CliError(f"atol {args.atol} is not a tolerance in [0, 1)")
+    return args.atol
 
 
 def _target(kind: str, n: int) -> analysis.QubitState:
@@ -119,13 +99,7 @@ def cmd_preset(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    g = _parse_graph_file(args.graph)
-    try:
-        c = compiler.compile_graph(g)
-    except compiler.CompileError as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
+    c = compiler.compile_graph(_parse_graph_file(args.graph))
     if args.dual_rail:
         c = compiler.to_dual_rail(c)
     _write(args.out, circuit_mod.serialize_circuit(c))
@@ -133,16 +107,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    atol = _atol(args, _load_config(args.config))
+    atol = _atol(args)
     try:
         c = circuit_mod.parse_circuit(_read(args.circuit))
     except circuit_mod.CircuitSchemaError as exc:
         raise CliError(f"{args.circuit}: {exc}") from None
-    diags = circuit_mod.validate(c)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
     wanted = _only_pattern(args.only_pattern)
     target = None
     if args.target:
@@ -151,14 +120,13 @@ def cmd_simulate(args) -> int:
             raise CliError(f"--n {args.n} does not match the circuit's "
                            f"{n_out} output modes")
         target = _target(args.target, n_out)
-    try:
-        outcomes = sim.run_heralded(c)
-        if target is not None:
+    outcomes = sim.run_heralded(c)  # validates c
+    if target is not None:
+        try:
             outcomes = sim.classify_feedforward(outcomes, target, c, atol=atol)
-    except (sim.SimulationError, ValueError) as exc:
-        # a valid circuit that heralds photons off the outputs, or leaves
-        # residuals that are not one photon per output mode
-        raise CliError(f"{args.circuit}: {exc}") from None
+        except ValueError as exc:
+            # residuals that are not one photon per output mode
+            raise CliError(f"{args.circuit}: {exc}") from None
     rows = []
     total = 0.0
     for oc in outcomes:
@@ -180,7 +148,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    atol = _atol(args, _load_config(args.config))
+    atol = _atol(args)
     g = _parse_graph_file(args.graph)
     if args.n != g.n_main:
         raise CliError(f"--n {args.n} does not match the graph's "
@@ -188,10 +156,8 @@ def cmd_verify(args) -> int:
     _target(args.target, args.n)
     try:
         report = analysis.verify_scheme(g, args.target, args.n, atol=atol)
-    except compiler.CompileError as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except compiler.CompileError:  # a ValueError that main reports
+        raise
     except ValueError as exc:
         # a compiled scheme whose oracle state has no qubit reading
         raise CliError(f"{args.graph}: {exc}", EXIT_MISMATCH) from None
@@ -216,14 +182,9 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_report(args) -> int:
-    atol = _atol(args, _load_config(args.config))
-    jobs: list[tuple[str, int]] = []
-    if args.all:
-        jobs += [("ghz", n) for n in range(2, args.max_n + 1)]
-        jobs += [("w", n) for n in range(2, args.max_n + 1)]
-        jobs += [("type5", 3)]
-    else:
-        raise CliError("report currently requires --all")
+    atol = _atol(args)
+    jobs = ([("ghz", n) for n in range(2, args.max_n + 1)]
+            + [("w", n) for n in range(2, args.max_n + 1)] + [("type5", 3)])
     header = (f"{'scheme':8} {'n':>2} {'P_ff':>12} {'expected':>12} "
               f"{'P_no_ff':>12} {'expected':>12} {'fid':>6} {'ok':>4}")
     print(header)
@@ -263,10 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", default=None,
-                        help="key=value file overriding tolerances")
-        sp.add_argument("--atol", type=float, default=None,
-                        help="comparison tolerance (default 1e-9)")
+        sp.add_argument("--atol", type=float, default=fock.ATOL,
+                        help=f"comparison tolerance (default {fock.ATOL:g})")
 
     sp = sub.add_parser("preset", help="emit a preset graph")
     sp.add_argument("--kind", required=True, choices=["ghz", "w", "type5"])
@@ -304,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_export_dot)
 
     sp = sub.add_parser("report", help="acceptance table over the presets")
-    sp.add_argument("--all", action="store_true")
     sp.add_argument("--max-n", type=int, default=5)
     common(sp)
     sp.set_defaults(func=cmd_report)
@@ -318,6 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (compiler.CompileError, sim.SimulationError) as exc:
+        for d in exc.diagnostics:
+            print(f"error: {d}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -137,7 +137,10 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
 
     def new_loc(name: str) -> str:
         if name in loc_wires:
-            raise CompileError([f"internal: duplicate location {name!r}"])
+            # circles take their locations first, so name is a circle's label
+            raise CompileError([f"circle {name!r} has the name of a location the "
+                                f"compiler derives for another circle or dot; "
+                                f"rename it"])
         pair = {}
         for ch in ("H", "V"):
             pair[ch] = len(wires)

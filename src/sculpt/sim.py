@@ -48,7 +48,9 @@ from .sculpting import QubitState, qubit_entries, to_qubit_state
 
 
 class SimulationError(RuntimeError):
-    pass
+    def __init__(self, message: str, diagnostics: list[str] | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or [message]
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +221,7 @@ def run_heralded(circuit: Circuit) -> list[HeraldOutcome]:
     """
     diags = validate(circuit)
     if diags:
-        raise SimulationError("invalid circuit: " + "; ".join(diags))
+        raise SimulationError("invalid circuit: " + "; ".join(diags), diags)
     elements = _on_final_wires(circuit)
     schedule = _herald_schedule(circuit, elements)
     # owner[w] is the factor, a (state, wires) pair, that holds wire w;

@@ -3,11 +3,12 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sculpt import analysis, cli
+from sculpt import analysis, circuit, cli, sim
 from sculpt.bigraph import ghz, serialize_graph, w
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph
 from sculpt.circuit import parse_circuit, serialize_circuit
@@ -136,6 +137,21 @@ def test_export_dot(tmp_path, capsys):
     assert code == 2
 
 
+def test_export_dot_escapes_labels(tmp_path, capsys):
+    # an ancilla label with a quote and a backslash stays inside its DOT string
+    g = tmp_path / "g.json"
+    c = tmp_path / "c.json"
+    g.write_text(serialize_graph(w(2)).replace('"X"', json.dumps('X"y\\z')))
+    assert run_cli(capsys, "compile", "--graph", str(g), "--out", str(c))[0] == 0
+    for flag, path in (("--graph", g), ("--circuit", c)):
+        code, out, _ = run_cli(capsys, "export-dot", flag, str(path))
+        assert code == 0
+        assert r'"X\"y\\z' in out
+        # outside its DOT strings, no line holds a quote
+        bare = [re.sub(r'"(?:[^"\\]|\\.)*"', "", line) for line in out.splitlines()]
+        assert not any('"' in line for line in bare)
+
+
 def test_dual_rail_flag(tmp_path, capsys):
     g = tmp_path / "g.json"
     c = tmp_path / "c.json"
@@ -163,32 +179,21 @@ def test_dual_rail_twin_simulates_to_the_same_report(tmp_path, capsys, kind, n):
     assert reports[0]["outcomes"] and reports[0] == reports[1]
 
 
-def test_config_file(tmp_path, capsys):
-    g = tmp_path / "g.json"
-    conf = tmp_path / "sculpt.conf"
-    conf.write_text("# tolerances\natol = 1e-9\n")
-    run_cli(capsys, "preset", "--kind", "ghz", "--n", "2", "--out", str(g))
-    code, out, _ = run_cli(capsys, "verify", "--graph", str(g),
-                           "--target", "ghz", "--n", "2", "--config", str(conf))
-    assert code == 0
-    code, _, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
-                           "ghz", "--n", "2",
-                           "--config", str(tmp_path / "missing.conf"))
-    assert code == 2
-
-
-def test_config_rejects_unknown_key(tmp_path, capsys):
-    g = tmp_path / "g.json"
-    conf = tmp_path / "c.conf"
-    conf.write_text("wibble = 3\n")
-    run_cli(capsys, "preset", "--kind", "ghz", "--n", "2", "--out", str(g))
-    code, _, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
-                           "ghz", "--n", "2", "--config", str(conf))
-    assert code == 2 and "unknown config key" in err
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--graph", "g.json", "--target", "ghz", "--n", "2", "--config", "c"],
+     "--config"),
+    (["report", "--all"], "--all"),
+], ids=["config", "all"])
+def test_removed_flag_exits_2_through_argparse(capsys, argv, flag):
+    # --atol is the one source of the tolerance; report always runs the table
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_report_table(capsys):
-    code, out, _ = run_cli(capsys, "report", "--all", "--max-n", "2")
+    code, out, _ = run_cli(capsys, "report", "--max-n", "2")
     lines = out.strip().splitlines()
     assert any(l.startswith("ghz") for l in lines)
     assert any(l.startswith("type5") for l in lines)
@@ -226,15 +231,6 @@ def test_only_pattern_not_an_object_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--circuit", str(c),
                              "--only-pattern", "[1]")
     assert_one_error(code, out, err, "--only-pattern", "object")
-
-
-def test_config_bad_atol_exits_2(tmp_path, capsys):
-    g, _ = _ghz2_circuit(tmp_path, capsys)
-    conf = tmp_path / "c.conf"
-    conf.write_text("# tolerances\natol = abc\n")
-    code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
-                             "ghz", "--n", "2", "--config", str(conf))
-    assert_one_error(code, out, err, f"{conf}:2:", "atol")
 
 
 def test_verify_qubit_count_mismatch_exits_2(tmp_path, capsys):
@@ -319,7 +315,11 @@ def test_simulate_element_not_an_object_exits_2(tmp_path, capsys):
     (lambda doc: doc["outputs"].__setitem__(0, "1"), "outputs"),
     (lambda doc: doc["detector_groups"][0]["wires"].__setitem__(0, 999),
      "undeclared wire 999"),
-], ids=["wire-id", "group-id", "group-wire", "output-wire", "undeclared-group-wire"])
+    # the herald filter counted such a wire once and the outcomes twice
+    (lambda doc: doc["detector_groups"][0].update(wires=[8, 8]),
+     "detector group 1 repeats a wire"),
+], ids=["wire-id", "group-id", "group-wire", "output-wire", "undeclared-group-wire",
+        "repeated-group-wire"])
 def test_simulate_malformed_wire_ids_exit_2(tmp_path, capsys, mutate, fragment):
     code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
     assert_one_error(code, out, err, fragment)
@@ -435,6 +435,23 @@ def test_simulate_non_integer_dual_rail_wire_exits_2(tmp_path, capsys, kind, val
     assert_one_error(code, out, err, f"malformed {kind} element", f"{value!r}")
 
 
+def test_simulate_validates_the_circuit_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = circuit.validate
+
+    def counting(c):
+        calls.append(c)
+        return validate(c)
+
+    # at the command level and inside run_heralded
+    monkeypatch.setattr(circuit, "validate", counting)
+    monkeypatch.setattr(sim, "validate", counting)
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "simulate", "--circuit", str(c), "--target", "ghz")
+    assert code == 0 and len(json.loads(out)["outcomes"]) == 4
+    assert len(calls) == 1
+
+
 def test_simulate_herald_leaving_photons_off_the_outputs_exits_2(tmp_path, capsys):
     # without its detector group, the second subtractor's tap-off wires
     # keep their photons
@@ -453,7 +470,7 @@ def test_simulate_residual_not_one_photon_per_mode_exits_2(tmp_path, capsys):
 
 
 def test_report_max_n_bounds_w_too(capsys):
-    code, out, _ = run_cli(capsys, "report", "--all", "--max-n", "5")
+    code, out, _ = run_cli(capsys, "report", "--max-n", "5")
     rows = [l.split()[:2] for l in out.splitlines()]
     assert ["w", "5"] in rows and ["ghz", "5"] in rows
     assert ["w", "6"] not in rows
@@ -461,15 +478,11 @@ def test_report_max_n_bounds_w_too(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "inf", "1"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_atol_outside_zero_to_one_exits_2(tmp_path, capsys, source, value):
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "1"], ids="flag-{}".format)
+def test_atol_outside_zero_to_one_exits_2(tmp_path, capsys, value):
     g, _ = _ghz2_circuit(tmp_path, capsys)
-    conf = tmp_path / "c.conf"
-    conf.write_text(f"atol = {value}\n")
-    opts = [f"--atol={value}"] if source == "flag" else ["--config", str(conf)]
     code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
-                             "ghz", "--n", "2", *opts)
+                             "ghz", "--n", "2", f"--atol={value}")
     assert_one_error(code, out, err, "atol")
 
 
@@ -497,6 +510,17 @@ def test_malformed_graph_exits_2(tmp_path, capsys, command, mutate, fragment):
     extra = ["--target", "ghz", "--n", "2"] if command == "verify" else []
     code, out, err = run_cli(capsys, command, "--graph", str(g), *extra)
     assert_one_error(code, out, err, str(g), fragment)
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_circle_named_like_a_compiler_location_exits_2(tmp_path, capsys, command):
+    # "1.lo" is where the compiler splits main circle 1's lower path
+    g = tmp_path / "g.json"
+    g.write_text(serialize_graph(w(2)).replace('"X"', '"1.lo"'))
+    extra = ["--target", "w", "--n", "2"] if command == "verify" else []
+    code, out, err = run_cli(capsys, command, "--graph", str(g), *extra)
+    assert_one_error(code, out, err, "circle '1.lo'", "rename it")
+    assert "internal" not in err
 
 
 def test_verify_graph_without_matchings_exits_2(tmp_path, capsys):

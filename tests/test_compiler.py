@@ -8,8 +8,8 @@ import pytest
 from helpers import add_scaled, apply, count_elements, from_counts, strip_wires
 from sculpt import fock
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
-from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, Multiport, Source,
-                            parse_circuit, serialize_circuit, circuit_to_dot,
+from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, DetectorGroup, Multiport,
+                            Source, parse_circuit, serialize_circuit, circuit_to_dot,
                             validate)
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 
@@ -127,6 +127,13 @@ def test_validate_flags_overlapping_groups():
     g0 = c.detector_groups[0]
     c.detector_groups.append(g0)
     assert any("overlaps" in d for d in validate(c))
+
+
+def test_validate_flags_a_detector_group_repeating_a_wire():
+    c = compile_graph(ghz(2))
+    g0 = c.detector_groups[0]
+    c.detector_groups[0] = DetectorGroup(g0.gid, (g0.wires[0],) * 2, g0.required)
+    assert validate(c) == [f"detector group {g0.gid} repeats a wire"]
 
 
 def test_validate_flags_undeclared_wire():
