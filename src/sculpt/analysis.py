@@ -55,19 +55,17 @@ def target_state(kind: str, n: int) -> QubitState:
 
 
 def fidelity(a: QubitState, b: QubitState) -> float:
-    """|<a|b>|^2 on normalized vectors; invariant under global phases."""
+    """|<a|b>|^2; invariant under global phases."""
     if a.amps.size != b.amps.size:
         raise ValueError("qubit state dimensions differ")
-    av = a.normalized().amps
-    bv = b.normalized().amps
-    return float(abs(np.vdot(av, bv)) ** 2)
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def schmidt_rank(q: QubitState, party: tuple[int, ...]) -> int:
     """Rank of the reduced state across the bipartition (party | rest)."""
     n = q.n_qubits
     rest = tuple(k for k in range(n) if k not in party)
-    tensor = q.normalized().amps.reshape([2] * n)
+    tensor = q.amps.reshape([2] * n)
     mat = np.transpose(tensor, party + rest).reshape(2 ** len(party), 2 ** len(rest))
     svals = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(svals > SCHMIDT_CUTOFF))

@@ -8,18 +8,21 @@ detector groups are terminal markers listed separately, one per subtractor.
 Element semantics (applied by :mod:`sculpt.sim`):
     * ``Multiport`` n-port Fourier mixer U_jk = exp(2*pi*i*j*k/n)/sqrt(n),
       applied channel-wise to its port groups; a 2-port is a balanced BS
-    * ``Swap``/``ReturnMerge``  wire permutations
+    * ``Swap``      wire permutation
     * ``HWP``, ``UHWP`` and ``PBS`` lower to these in either encoding (see
       :func:`dual_rail_element`): a wave plate is the balanced BS across
       its mode's two wires, a†_H -> (a†_H + a†_V)/r2, a†_V -> (a†_H - a†_V)/r2,
       the rotated plate the same BS with its ports in the order V, H; a PBS
-      transmits H and swaps the two V wires, with no reflection phase
+      transmits H and swaps the two V wires, with no reflection phase, and
+      also puts a general subtractor's surviving photon back on its mode
+
+Each element's JSON object is its kind plus its dataclass fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 POLARIZATION = "polarization"
 DUAL_RAIL = "dual-rail"
@@ -118,24 +121,7 @@ class Swap:
         return tuple(sorted({w for pair in self.mapping for w in pair}))
 
 
-@dataclass(frozen=True)
-class ReturnMerge:
-    """Routes subtractor return wires back onto their origin mode location.
-
-    A non-empty mapping merges an orthogonally-polarized return into the mode
-    (physically a PBS); an empty mapping marks a pass-through return.
-    """
-
-    mode: str
-    mapping: tuple[tuple[int, int], ...]
-    stage: str = "merge"
-    kind = "merge"
-
-    def wires_used(self) -> tuple[int, ...]:
-        return tuple(sorted({w for pair in self.mapping for w in pair}))
-
-
-Element = Source | HWP | UHWP | PBS | Multiport | Swap | ReturnMerge
+Element = Source | HWP | UHWP | PBS | Multiport | Swap
 
 
 def dual_rail_element(el: Element) -> Element:
@@ -199,7 +185,7 @@ def validate(c: Circuit) -> list[str]:
                                     or isinstance(el.photons, bool) or el.photons < 0):
             diags.append(f"element {i} (source) photon count {el.photons!r} "
                          f"is not a non-negative integer")
-        if el.kind in ("swap", "merge"):
+        if el.kind == "swap":
             srcs = [s for s, _ in el.mapping]
             dsts = [d for _, d in el.mapping]
             if len(set(srcs)) != len(srcs) or sorted(srcs) != sorted(dsts):
@@ -247,22 +233,13 @@ class CircuitSchemaError(ValueError):
     """Raised on malformed circuit JSON."""
 
 
+# JSON kind -> element class; a Multiport writes "bs" when it has two ports.
+_KINDS = {"source": Source, "hwp": HWP, "uhwp": UHWP, "pbs": PBS,
+          "bs": Multiport, "multiport": Multiport, "swap": Swap}
+
+
 def _element_to_json(el: Element) -> dict:
-    doc: dict = {"kind": el.kind, "stage": el.stage}
-    if isinstance(el, Source):
-        doc.update(wire=el.wire, photons=el.photons)
-    elif isinstance(el, (HWP, UHWP)):
-        doc.update(mode=el.mode, h=el.h, v=el.v)
-    elif isinstance(el, PBS):
-        doc.update(mode_a=el.mode_a, mode_b=el.mode_b,
-                   a_h=el.a_h, a_v=el.a_v, b_h=el.b_h, b_v=el.b_v)
-    elif isinstance(el, Multiport):
-        doc.update(ports=[list(grp) for grp in el.ports])
-    elif isinstance(el, (Swap, ReturnMerge)):
-        doc.update(mapping=[list(p) for p in el.mapping])
-        if isinstance(el, ReturnMerge):
-            doc.update(mode=el.mode)
-    return doc
+    return {"kind": el.kind, **{f.name: getattr(el, f.name) for f in fields(el)}}
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -286,40 +263,15 @@ def _element_from_json(doc: dict, where: str) -> Element:
     if "stage" in doc and doc["stage"] not in STAGES:
         raise CircuitSchemaError(
             f"{where}: stage {doc['stage']!r} is not one of {', '.join(STAGES)}")
-    # A missing stage takes the element's own default.
-    stage = {"stage": doc["stage"]} if "stage" in doc else {}
-
-    def wire(key: str) -> int:
-        return _int(doc[key], key)
-
-    def mode(key: str) -> str:
-        if not isinstance(doc[key], str):
-            raise CircuitSchemaError(f"{key}: {doc[key]!r} is not a string")
-        return doc[key]
-
-    def pairs() -> tuple[tuple[int, int], ...]:
-        return tuple((_int(a, "mapping"), _int(b, "mapping")) for a, b in doc["mapping"])
-
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise CircuitSchemaError(f"{where}: unknown element kind {kind!r}")
     try:
-        if kind == "source":
-            return Source(wire("wire"), doc["photons"], **stage)
-        if kind == "hwp":
-            return HWP(mode("mode"), wire("h"), wire("v"), **stage)
-        if kind == "uhwp":
-            return UHWP(mode("mode"), wire("h"), wire("v"), **stage)
-        if kind == "pbs":
-            return PBS(mode("mode_a"), mode("mode_b"), wire("a_h"), wire("a_v"),
-                       wire("b_h"), wire("b_v"), **stage)
-        if kind in ("bs", "multiport"):
-            return Multiport(tuple(tuple(_int(w, "ports") for w in grp)
-                                   for grp in doc["ports"]), **stage)
-        if kind == "swap":
-            return Swap(pairs(), **stage)
-        if kind == "merge":
-            return ReturnMerge(mode("mode"), pairs(), **stage)
+        # A missing field with a default (the stage) takes the element's own.
+        return cls(**{f.name: _READ[f.type](doc[f.name], f.name) for f in fields(cls)
+                      if f.name in doc or f.default is MISSING})
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(f"{where}: malformed {kind} element ({exc})") from None
-    raise CircuitSchemaError(f"{where}: unknown element kind {kind!r}")
 
 
 def _int(value, where: str) -> int:
@@ -327,6 +279,23 @@ def _int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise CircuitSchemaError(f"{where}: {value!r} is not an integer")
     return value
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise CircuitSchemaError(f"{where}: {value!r} is not a string")
+    return value
+
+
+# Element field annotation (a string, under postponed evaluation) -> reader.
+_READ = {
+    "int": _int,
+    "str": _str,
+    "tuple[tuple[int, int], ...]":
+        lambda pairs, key: tuple((_int(a, key), _int(b, key)) for a, b in pairs),
+    "tuple[tuple[int, ...], ...]":
+        lambda groups, key: tuple(tuple(_int(w, key) for w in grp) for grp in groups),
+}
 
 
 def parse_circuit(text: str) -> Circuit:

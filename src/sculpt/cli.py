@@ -85,6 +85,13 @@ def _parse_graph_file(path: str) -> bigraph.SculptingBigraph:
         raise CliError(f"{path}: {exc}") from None
 
 
+def _parse_circuit_file(path: str) -> circuit_mod.Circuit:
+    try:
+        return circuit_mod.parse_circuit(_read(path))
+    except circuit_mod.CircuitSchemaError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -108,10 +115,7 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     atol = _atol(args)
-    try:
-        c = circuit_mod.parse_circuit(_read(args.circuit))
-    except circuit_mod.CircuitSchemaError as exc:
-        raise CliError(f"{args.circuit}: {exc}") from None
+    c = _parse_circuit_file(args.circuit)
     wanted = _only_pattern(args.only_pattern)
     target = None
     if args.target:
@@ -173,11 +177,7 @@ def cmd_export_dot(args) -> int:
         g = _parse_graph_file(args.graph)
         _write(args.out, bigraph.graph_to_dot(g))
     else:
-        try:
-            c = circuit_mod.parse_circuit(_read(args.circuit))
-        except circuit_mod.CircuitSchemaError as exc:
-            raise CliError(f"{args.circuit}: {exc}") from None
-        _write(args.out, circuit_mod.circuit_to_dot(c))
+        _write(args.out, circuit_mod.circuit_to_dot(_parse_circuit_file(args.circuit)))
     return EXIT_OK
 
 
@@ -213,14 +213,21 @@ def cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a :class:`CliError`, which :func:`main` prints
+    as one ``error:`` line; subparsers inherit this class."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     each ``parse_args`` fills a fresh namespace, so no call sees another's
     values."""
-    p = argparse.ArgumentParser(prog="sculpt",
-                                description="compile and simulate heralded "
-                                            "entanglement-generation circuits")
+    p = _Parser(prog="sculpt",
+                description="compile and simulate heralded entanglement-generation circuits")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -270,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ The emitted circuit follows a fixed stage pipeline:
     subtract  per-dot subtractor front end: HWP + PBS tap-off on main legs,
               a wave plate matching the ancilla photon's polarization to the
               block's tap channel on ancilla legs
-    merge     return wires brought back onto their origin mode locations
+    merge     a PBS per general-form return; an optimized return needs none
     mix       which-path erasure over each block's tap locations (a second
               HWP+PBS for the optimized subtractor, a balanced BS/Fourier
               port otherwise); the mixer outputs are the detector wires
@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from .bigraph import (CircleKind, Edge, SculptingBigraph, non_epm_circles,
                       subtraction_operators)
 from .circuit import (DUAL_RAIL, POLARIZATION, Circuit, DetectorGroup, HWP,
-                      Multiport, PBS, ReturnMerge, Source, Swap, UHWP, Wire,
-                      dual_rail_element)
+                      Multiport, PBS, Source, Swap, UHWP, Wire, dual_rail_element)
 from .fock import ATOL
 
 
@@ -270,15 +269,14 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
         rblk = red_block_of[label]
         bblk = blue_block_of[label]
         if bblk.kind == "optimized":
-            elements.append(ReturnMerge(label, ()))
-            continue
+            continue  # its return already sits on the mode location
         if rblk.kind == "optimized":
             raise CompileError(
                 [f"mode {label!r}: optimized subtractor return collides with a "
                  f"general subtractor return; no known realization"])
         ret = next(l.ret_loc for l in bblk.main_legs if l.circle == label)
-        pair = ((wid(ret, "V"), wid(label, "V")), (wid(label, "V"), wid(ret, "V")))
-        elements.append(ReturnMerge(label, pair))
+        elements.append(PBS(label, ret, wid(label, "H"), wid(label, "V"),
+                            wid(ret, "H"), wid(ret, "V"), "merge"))
 
     # mix + detector groups ----------------------------------------------------
     groups: list[DetectorGroup] = []

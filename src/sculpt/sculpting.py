@@ -127,27 +127,26 @@ def pm_predict(g: SculptingBigraph, table: OracleWires | None = None) -> FockSta
 
 @dataclass
 class QubitState:
-    """Dense 2^n amplitude vector in the per-mode diagonal basis: bit 1 of
-    an index means that mode carries the minus state; mode 0 is the most
-    significant bit."""
+    """Dense 2^n unit amplitude vector in the per-mode diagonal basis: bit 1
+    of an index means that mode carries the minus state; mode 0 is the most
+    significant bit.  The given vector is normalized once, here; the zero
+    vector raises."""
 
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=complex)
-        n = self.amps.size
+        amps = np.asarray(self.amps, dtype=complex)
+        n = amps.size
         if n == 0 or n & (n - 1):
             raise ValueError("amplitude vector length must be a power of two")
+        nrm = float(np.linalg.norm(amps))
+        if nrm == 0:
+            raise ValueError("zero state has no qubit reading")
+        self.amps = amps / nrm
 
     @property
     def n_qubits(self) -> int:
         return int(self.amps.size).bit_length() - 1
-
-    def normalized(self) -> "QubitState":
-        nrm = float(np.linalg.norm(self.amps))
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return QubitState(self.amps / nrm)
 
 
 def hadamard_all(vec: np.ndarray) -> np.ndarray:
@@ -219,7 +218,4 @@ def to_qubit_state(state: FockState,
     index, values = qubit_entries([state], mode_rails)
     vec = np.zeros(2 ** len(mode_rails), dtype=complex)
     vec[index] = values
-    weight = float(np.vdot(vec, vec).real)
-    if weight == 0:
-        raise ValueError("zero state has no qubit reading")
-    return QubitState(vec / math.sqrt(weight))
+    return QubitState(vec)

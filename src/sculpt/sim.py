@@ -3,7 +3,7 @@
 The propagated state is held sparsely.  Each element is first lowered by
 :func:`circuit.dual_rail_element`, so in either encoding a wave plate acts
 as a balanced beam splitter and a PBS as a swap, and three operations
-remain: create (a source), permute (a swap or merge) and mix (a multiport,
+remain: create (a source), permute (a swap) and mix (a multiport,
 a linear substitution on creation operators); propagation is exact up to
 floating point.  Permutations touch no term: one backward pass drops them
 and moves every other element onto the circuit wires that the permutations
@@ -41,8 +41,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fock
-from .circuit import (Circuit, DetectorGroup, Multiport, ReturnMerge, Source, Swap,
-                      dual_rail_element, validate)
+from .circuit import (Circuit, DetectorGroup, Multiport, Source, Swap, dual_rail_element,
+                      validate)
 from .fock import FockState
 from .sculpting import QubitState, qubit_entries, to_qubit_state
 
@@ -53,17 +53,28 @@ class SimulationError(RuntimeError):
         self.diagnostics = diagnostics or [message]
 
 
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
+
+
 @functools.lru_cache(maxsize=None)
 def _fourier(n: int) -> tuple[tuple[complex, ...], ...]:
-    return tuple(tuple(cmath.exp(2j * math.pi * j * k / n) / math.sqrt(n)
-                       for j in range(n)) for k in range(n))
+    """U_jk = w^(jk mod n)/sqrt(n), w = exp(2*pi*i/n); a power of w at a
+    quarter turn is exact (1, i, -1 or -i), so a 2-port's entries are
+    exactly +-1/sqrt(2)."""
+    def power(m: int) -> complex:
+        if 4 * m % n:
+            return cmath.exp(2j * math.pi * m / n)
+        return _QUARTER_TURNS[4 * m // n]
+
+    return tuple(tuple(power(j * k % n) / math.sqrt(n) for j in range(n))
+                 for k in range(n))
 
 
 def _permutation(el) -> dict[int, int] | None:
-    """The wire mapping (src -> dst) of a swap or merge, None for any other
-    lowered element.  A mapping that does not permute its own wires raises
+    """The wire mapping (src -> dst) of a swap, None for any other lowered
+    element.  A mapping that does not permute its own wires raises
     ``ValueError``."""
-    if not isinstance(el, (Swap, ReturnMerge)):
+    if not isinstance(el, Swap):
         return None
     mapping = dict(el.mapping)
     if sorted(mapping) != sorted(mapping.values()):
@@ -385,7 +396,7 @@ def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows:
     tolerance alone, where a fitting row is nonzero.
     """
     n = target.n_qubits
-    t = target.normalized().amps
+    t = target.amps
     supp = np.flatnonzero(np.abs(t) > 1e-10)
     t_supp = t[supp]
     abs_t_supp = np.abs(t_supp)

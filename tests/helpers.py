@@ -238,7 +238,7 @@ def naive_substitute(state: FockState, rules) -> FockState:
 def naive_relabel(state: FockState, mapping) -> FockState:
     """A wire permutation (``mapping``: src -> dst) applied by re-keying each
     term through a dict of its counts, wire by wire; the reference for
-    ``sim.apply_element`` on a PBS, swap or merge."""
+    ``sim.apply_element`` on a PBS or swap."""
     out: dict = {}
     for occ, amp in state.terms():
         counts = {mapping.get(w, w): n for w, n in occ}
@@ -405,8 +405,8 @@ def naive_solve_correction(residual, target, atol: float = 1e-9):
     """Reference for ``sim.classify_feedforward``: one residual at a time,
     one bit-flip mask at a time, with the scalar phase solver and label
     formatter above."""
-    t = target.normalized().amps
-    r = residual.normalized().amps
+    t = target.amps
+    r = residual.amps
     if r.size != t.size:
         raise ValueError("qubit counts differ")
     n = target.n_qubits

@@ -186,10 +186,26 @@ def test_dual_rail_twin_simulates_to_the_same_report(tmp_path, capsys, kind, n):
 ], ids=["config", "all"])
 def test_removed_flag_exits_2_through_argparse(capsys, argv, flag):
     # --atol is the one source of the tolerance; report always runs the table
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error(code, out, err, f"unrecognized arguments: {flag}")
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["compile", "--graph", "g.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "--graph", "g.json", "--n", "2"], "required: --target"),
+    (["simulate", "--circuit", "c.json", "--atol", "abc"], "--atol: invalid float value"),
+    ([], "required: command"),
+], ids=["unknown-flag", "missing-target", "atol-abc", "no-subcommand"])
+def test_bad_command_line_exits_2_with_one_error_line(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error(code, out, err, fragment)
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    assert "--target" in capsys.readouterr().out
 
 
 def test_report_table(capsys):
@@ -376,7 +392,7 @@ def test_simulate_pbs_repeating_a_wire_exits_2(tmp_path, capsys):
     (lambda doc: doc["detector_groups"][0].update(count=True),
      "detector_groups[0].count"),
     (lambda doc: doc["outputs"].__setitem__(0, True), "outputs"),
-    (lambda doc: _first(doc, "source").update(photons=True), "photon count True"),
+    (lambda doc: _first(doc, "source").update(photons=True), "photons: True"),
     (lambda doc: _first(doc, "source").update(wire=False), "wire: False"),
     (lambda doc: _first(doc, "hwp").update(v=True), "v: True"),
     (lambda doc: _first(doc, "hwp").update(h=1.5), "h: 1.5"),
@@ -384,10 +400,9 @@ def test_simulate_pbs_repeating_a_wire_exits_2(tmp_path, capsys):
     (lambda doc: _first(doc, "pbs").update(a_h=1.5), "a_h: 1.5"),
     (lambda doc: _first(doc, "swap")["mapping"][0].__setitem__(1, True), "mapping: True"),
     (lambda doc: _first(doc, "swap")["mapping"][0].__setitem__(0, 1.5), "mapping: 1.5"),
-    (lambda doc: _first(doc, "merge")["mapping"].append([1.5, 1]), "mapping: 1.5"),
 ], ids=["wire-id", "group-id", "group-wire", "count", "output-wire", "photons",
         "source-wire", "hwp-true", "hwp-fraction", "pbs-true", "pbs-fraction",
-        "swap-true", "swap-fraction", "merge-fraction"])
+        "swap-true", "swap-fraction"])
 def test_simulate_boolean_integer_field_exits_2(tmp_path, capsys, mutate, fragment):
     code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
     assert_one_error(code, out, err, fragment)
@@ -402,13 +417,20 @@ def test_simulate_boolean_integer_field_exits_2(tmp_path, capsys, mutate, fragme
     ("hwp", "mode", ["1"], "mode: ['1'] is not a string"),
     ("pbs", "mode_a", 7, "mode_a: 7 is not a string"),
     ("pbs", "mode_b", None, "mode_b: None is not a string"),
-    ("merge", "mode", 1.5, "mode: 1.5 is not a string"),
 ])
 def test_simulate_malformed_stage_or_mode_exits_2(tmp_path, capsys, kind, field, value,
                                                   fragment):
     code, out, err = _simulate_mutated_target(
         tmp_path, capsys, lambda doc: _first(doc, kind).update({field: value}))
     assert_one_error(code, out, err, fragment)
+
+
+def test_simulate_merge_kind_is_unknown_exits_2(tmp_path, capsys):
+    # a return is merged by a PBS; "merge" names a stage, not an element kind
+    merge = {"kind": "merge", "mode": "1", "mapping": [], "stage": "merge"}
+    code, out, err = _simulate_mutated_target(
+        tmp_path, capsys, lambda doc: doc["elements"].append(merge))
+    assert_one_error(code, out, err, "unknown element kind 'merge'")
 
 
 def test_simulate_element_without_stage_takes_its_default(tmp_path, capsys):

@@ -49,8 +49,11 @@ def test_source_and_prep_counts():
     c = compile_graph(g)
     assert count_elements(c, "source") == 2 * 3 + 1
     assert count_elements(c, "hwp", stage="prep") == 3 + 1
-    # one merge marker per main mode
-    assert count_elements(c, "merge") == 3
+    # each of W's general subtractor returns is merged back by a PBS
+    assert count_elements(c, "pbs", stage="merge") == 3
+    assert len([el for el in c.elements if el.stage == "merge"]) == 3
+    # GHZ's optimized returns already sit on their mode locations
+    assert not [el for el in compile_graph(ghz(3)).elements if el.stage == "merge"]
 
 
 def test_compile_deterministic():
@@ -107,8 +110,8 @@ def test_compile_rejects_mixed_return_styles():
 
 
 def test_roundtrip_serialization():
-    for g in (ghz(3), w(3), type5()):
-        c = compile_graph(g)
+    polarization = [compile_graph(g) for g in (ghz(3), w(3), type5())]
+    for c in polarization + [to_dual_rail(c) for c in polarization]:
         text = serialize_circuit(c)
         c2 = parse_circuit(text)
         assert serialize_circuit(c2) == text

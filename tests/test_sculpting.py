@@ -167,7 +167,8 @@ def test_to_qubit_state_ghz_both_bases():
     expect = np.zeros(8)
     expect[0] = expect[7] = R2
     assert np.allclose(oracle_qubit_state(g).amps, expect, atol=1e-9)
-    assert np.array_equal(oracle_qubit_state(g).amps, hadamard_all(levels.amps))
+    assert np.array_equal(oracle_qubit_state(g).amps,
+                          QubitState(hadamard_all(levels.amps)).amps)
 
 
 def test_to_qubit_state_w():
@@ -206,7 +207,10 @@ def test_hadamard_matches_the_pairwise_reference_row_by_row(n):
 def test_qubit_state_validation():
     with pytest.raises(ValueError):
         QubitState(np.zeros(3))
-    with pytest.raises(ValueError):
-        QubitState(np.zeros(4)).normalized()
+    with pytest.raises(ValueError, match="zero state has no qubit reading"):
+        QubitState(np.zeros(4))
+    # a qubit state is a unit vector by construction
+    unit = QubitState(np.array([3.0, 4.0])).amps
+    assert np.allclose(unit, [0.6, 0.8], rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="zero state has no qubit reading"):
         to_qubit_state(FockState(), [(0, 1)])

@@ -13,7 +13,7 @@ from helpers import (add_scaled, amplitude, assert_same_outcomes, from_counts,
 from sculpt import bigraph, fock, sim
 from sculpt.bigraph import ghz, w
 from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
-                            ReturnMerge, Source, Swap, UHWP, Wire)
+                            Source, Swap, UHWP, Wire)
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 from sculpt.fock import FockState
 from sculpt.analysis import oracle_qubit_state, target_state
@@ -76,6 +76,19 @@ def test_tritter_is_fourier():
     for k in range(3):
         expect = w3 ** k / math.sqrt(3)
         assert abs(amplitude(out, {k: 1}) - expect) < 1e-12
+
+
+def test_fourier_entries_are_exact_at_quarter_turns():
+    assert sim._fourier(2) == ((R2, R2), (R2, -R2))
+    quarter = [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]
+    assert sim._fourier(4) == tuple(tuple(z / 2 for z in row) for row in quarter)
+
+
+def test_ghz_residuals_have_no_imaginary_part():
+    # every GHZ mixer is a 2-port, whose entries are real
+    outcomes = sim.run_heralded(compile_graph(ghz(3)))
+    assert outcomes
+    assert all(amp.imag == 0 for oc in outcomes for _, amp in oc.residual.terms())
 
 
 def test_source_normalization():
@@ -236,9 +249,9 @@ def _wires(m):
 @st.composite
 def small_circuits(draw):
     """A valid circuit on 4-6 wires: up to 8 sources, wave plates, PBSs,
-    swaps, merges and 2-3-port multiports on random wires, in any order,
-    with at most 5 photons in all, and 0-2 random detector groups.  Every
-    other wire is an output."""
+    swaps (some in stage merge) and 2-3-port multiports on random wires, in
+    any order, with at most 5 photons in all, and 0-2 random detector
+    groups.  Every other wire is an output."""
     m = draw(st.integers(4, 6))
 
     def distinct(k):
@@ -263,7 +276,7 @@ def small_circuits(draw):
         elif kind == "swap":
             elements.append(Swap(permutation()))
         elif kind == "merge":
-            elements.append(ReturnMerge("m0", permutation()))
+            elements.append(Swap(permutation(), "merge"))
         else:
             n, arity = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
             ws = distinct(n * arity)
@@ -600,7 +613,7 @@ def corrected_pairs(draw):
     r = np.empty(size, dtype=complex)
     r[np.arange(size) ^ a_mask] = t * np.exp(-1j * (bits @ x))
     glob = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
-    return QubitState(r * glob).normalized(), QubitState(t).normalized()
+    return QubitState(r * glob), QubitState(t)
 
 
 @given(corrected_pairs())
