@@ -52,9 +52,10 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _atol(args) -> float:
-    """--atol, which must be finite and in [0, 1)."""
-    if not 0.0 <= args.atol < 1.0:  # also rejects nan
-        raise CliError(f"atol {args.atol} is not a tolerance in [0, 1)")
+    """--atol, which must lie in [fock.DROP_TOL, 1): below the drop
+    tolerance float rounding would decide classification."""
+    if not fock.DROP_TOL <= args.atol < 1.0:  # also rejects nan
+        raise CliError(f"atol {args.atol} is not a tolerance in [{fock.DROP_TOL:g}, 1)")
     return args.atol
 
 
@@ -115,6 +116,8 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     atol = _atol(args)
+    if args.n is not None and not args.target:
+        raise CliError("--n needs --target")
     c = _parse_circuit_file(args.circuit)
     wanted = _only_pattern(args.only_pattern)
     target = None

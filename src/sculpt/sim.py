@@ -21,7 +21,8 @@ carried through the rest of the circuit.
 
 Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
-solved exactly) that map a residual onto the target; an outcome is
+solved from the phase equations) that bring a residual to fidelity
+>= 1 - atol with the target, the one rule that decides; an outcome is
 identity-correct when no correction is needed.  All outcomes of one call are
 solved together, from their residuals' nonzero qubit entries: one sorted key
 array, one walk over the bit-flip masks.
@@ -35,7 +36,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -315,9 +315,6 @@ def residual_qubits(outcome: HeraldOutcome, circuit: Circuit) -> QubitState:
 # Feed-forward classification
 # ---------------------------------------------------------------------------
 
-_ANGLE_TOL = 1e-7
-
-
 def _wrap(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -330,8 +327,9 @@ def _phase_solutions(rows: list[np.ndarray], angles: np.ndarray, n: int):
     Integer coefficient matrix, shared by the batch, so every pivot and
     branch choice depends on ``rows`` alone: eliminates with unit pivots,
     branches on single-variable rows with larger coefficients, rejects
-    anything else.  Yields ``(consistent, x)`` per branch choice: x is an
-    (R, n) array of candidates, valid where ``consistent`` is set.
+    anything else.  Yields one (R, n) array x per branch choice.  An
+    equation that elimination empties is not checked: x meets the pivot
+    equations exactly, and the fidelity test judges the rest.
     """
     angles = np.asarray(angles, dtype=float)
     eqs = [(r.astype(float).copy(), a) for r, a in zip(rows, angles)]
@@ -355,12 +353,10 @@ def _phase_solutions(rows: list[np.ndarray], angles: np.ndarray, n: int):
             if m:
                 eqs[j] = (rj - m * r, aj - m * a)
 
-    consistent = np.ones(angles.shape[1], dtype=bool)
     branch_vars: list[tuple[int, int, np.ndarray]] = []
     for r, a in eqs:
         nz = np.where(np.abs(r) > 1e-9)[0]
         if nz.size == 0:
-            consistent &= np.abs(_wrap(a)) <= _ANGLE_TOL
             continue
         if nz.size == 1:
             d = int(round(abs(r[nz[0]])))
@@ -376,7 +372,7 @@ def _phase_solutions(rows: list[np.ndarray], angles: np.ndarray, n: int):
             x[:, k] = base + 2.0 * math.pi * c / d
         for k, r, a in reversed(pivots):
             x[:, k] = a - (x @ r - r[k] * x[:, k])
-        yield consistent, x
+        yield x
 
 
 def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows: int,
@@ -387,13 +383,21 @@ def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows:
 
     Walks the bit-flip masks once, in increasing order, testing every
     pending row at each; a row takes the first mask and the first phase
-    solution there whose fidelity is >= 1 - atol.  Only the entries at the
-    support indices ``supp ^ mask`` are looked up, a missing key reading as
-    0: a row is nil off them when they hold all of its entries above 1e-7,
-    and a diagonal phase keeps the unit norm, so the fidelity is
-    |t_supp . corrected|^2, reported clamped to 1 against rounding.  The
-    phase equations come from the support entries above the 1e-7 fit
-    tolerance alone, where a fitting row is nonzero.
+    solution there whose fidelity F = |t . corrected|^2 is >= 1 - atol.
+    That test alone decides.  A correction permutes entries and changes
+    their phases only, so for unit vectors t and corrected c,
+    1 - F >= 1 - sum |t_b||c_b| = 1/2 || |t| - |c| ||^2; a mask is tried on
+    a row only when each of its entries at the support indices
+    ``supp ^ mask`` lies within sqrt(2 atol) of the target's magnitude
+    there.  Only those entries are looked up, a missing key reading as 0,
+    which gives F exactly: t is nil off its support.  F is reported clamped
+    to 1 against rounding.
+
+    The phase equations come from the support entries above 1e-7 alone.
+    Their pivot solution meets the pivot equations exactly; a row it leaves
+    below 1 - atol takes one weighted least-squares step in the global phase
+    and x, over the phase misses at those entries (weight |t_b|, wrapped
+    from the first entry's miss), and is tested again.
     """
     n = target.n_qubits
     t = target.amps
@@ -403,12 +407,18 @@ def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows:
     bits = ((supp[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
     strong = np.flatnonzero(abs_t_supp > 1e-7)
     eq_rows = list(bits[strong[1:]] - bits[strong[0]])
+    weight = abs_t_supp[strong, None]
+    design = weight * np.hstack([np.ones((strong.size, 1)), bits[strong]])
     row_of = keys >> n
     norms = np.sqrt(np.bincount(row_of, weights=(amps.conj() * amps).real, minlength=n_rows))
     if not norms.all():
         raise ValueError("zero state has no qubit reading")
     amps = amps / norms[row_of]
-    big = np.bincount(row_of[np.abs(amps) > 1e-7], minlength=n_rows)
+    near = math.sqrt(2.0 * atol)
+
+    def fidelity(x, entries):
+        return np.abs(np.vecdot(t_supp, np.exp(1j * (x @ bits.T)) * entries)) ** 2
+
     found: list[tuple[tuple[str, ...], float] | None] = [None] * n_rows
     pending = np.arange(n_rows)
     for a_mask in range(2 ** n):
@@ -417,60 +427,54 @@ def _corrections(target: QubitState, keys: np.ndarray, amps: np.ndarray, n_rows:
         want = pending[:, None] << n | (supp ^ a_mask)
         at = keys.searchsorted(want).clip(max=keys.size - 1)
         on_supp = np.where(keys[at] == want, amps[at], 0)
-        mags = np.abs(on_supp)
-        fits = ~np.any(np.abs(mags - abs_t_supp) > 1e-7, axis=1)
-        fits &= np.count_nonzero(mags > 1e-7, axis=1) == big[pending]
-        cand = np.flatnonzero(fits)
+        cand = np.flatnonzero(np.all(np.abs(np.abs(on_supp) - abs_t_supp) <= near, axis=1))
         if not cand.size:
             continue
         perm = on_supp[cand]
-        q = np.angle(t_supp[strong] / perm[:, strong])
+        q = np.angle(t_supp[strong] * perm[:, strong].conj())
         hit = np.zeros(cand.size, dtype=bool)
-        for consistent, x in _phase_solutions(eq_rows, _wrap(q[:, 1:] - q[:, :1]).T, n):
-            live = np.flatnonzero(consistent & ~hit)
+        for x in _phase_solutions(eq_rows, _wrap(q[:, 1:] - q[:, :1]).T, n):
+            live = np.flatnonzero(~hit)
             if not live.size:
                 break
-            corrected = np.exp(1j * (x[live] @ bits.T)) * perm[live]
-            fid = np.abs(np.vecdot(t_supp, corrected)) ** 2
+            x = x[live]
+            fid = fidelity(x, perm[live])
+            miss = np.flatnonzero(fid < 1.0 - atol)
+            if miss.size:
+                off = q[live[miss]] - x[miss] @ bits[strong].T
+                rhs = weight * _wrap(off - off[:, :1]).T
+                x[miss] += np.linalg.lstsq(design, rhs, rcond=None)[0][1:].T
+                fid[miss] = fidelity(x[miss], perm[live[miss]])
             good = fid >= 1.0 - atol
             rows = live[good]
-            for row, labels, f in zip(pending[cand[rows]], _labels(a_mask, x[rows]), fid[good]):
+            for row, labels, f in zip(pending[cand[rows]], _labels(a_mask, x[good]), fid[good]):
                 found[row] = (labels, min(float(f), 1.0))
             hit[rows] = True
         pending = np.delete(pending, cand[hit])
     return found
 
 
-def _labels(a_mask: int, x: np.ndarray) -> list[tuple[str, ...]]:
-    """Per-mode labels of the correction (a_mask, x) for each row of x."""
-    n = x.shape[1]
-    phi = _wrap(x)
+def _phase_label(phi: float) -> str:
+    """The diagonal phase e^{i phi}, phi in [-pi, pi): "" for none, Z, or
+    m/d pi for the smallest d <= 12 that lies within 1e-7 (so m/d is
+    reduced), else P(phi) in radians."""
     ratio = phi / math.pi
-    # The smallest denominator d <= 12 that fits is the reduced one; d = 1
-    # is no phase (0/1) or Z (+-1/1), and d = 0 is no fit.
-    ds = np.arange(1, 13)
-    fits = np.abs(phi[..., None] - np.round(ratio[..., None] * ds) / ds * math.pi) <= 1e-7
-    den = np.where(fits.any(axis=-1), ds[fits.argmax(axis=-1)], 0)
-    num = np.round(ratio * den).astype(int)
+    for d in range(1, 13):
+        m = round(ratio * d)
+        if abs(phi - m / d * math.pi) <= 1e-7:
+            return ("Z" if m else "") if d == 1 else f"P({m}/{d}pi)"
+    return f"P({phi:.6f})"
+
+
+def _labels(a_mask: int, x: np.ndarray) -> list[tuple[str, ...]]:
+    """Per-mode labels of the correction (a_mask, x) for each row of x;
+    each distinct phase is labelled once."""
+    n = x.shape[1]
+    phis, which = np.unique(_wrap(x), return_inverse=True)
+    phases = [_phase_label(phi) for phi in phis.tolist()]
     flips = ["X" if (a_mask >> (n - 1 - k)) & 1 else "" for k in range(n)]
-
-    def label(flip: str, m: int, d: int, p: float) -> str:
-        if not d:
-            phase = f"P({p:.6f})"
-        elif d == 1:
-            phase = "Z" if m else ""
-        else:
-            phase = f"P({Fraction(m, d)}pi)"
-        return flip + phase or "I"
-
-    memo: dict[tuple, tuple[str, ...]] = {}
-    out = []
-    for nums, dens, phis in zip(num.tolist(), den.tolist(), phi.tolist()):
-        key = (tuple(nums), tuple(dens))
-        if key not in memo or 0 in dens:
-            memo[key] = tuple(map(label, flips, nums, dens, phis))
-        out.append(memo[key])
-    return out
+    return [tuple(flip + phases[i] or "I" for flip, i in zip(flips, row))
+            for row in which.reshape(x.shape).tolist()]
 
 
 def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
@@ -478,9 +482,13 @@ def classify_feedforward(outcomes: Sequence[HeraldOutcome], target: QubitState,
     """Populate correction labels on a copy of each outcome.
 
     Outcomes split into identity-correct (no correction needed, up to global
-    phase), correctable (a local correction reaches the target exactly), and
-    failed (correction is None).
+    phase), correctable (a local correction reaches fidelity >= 1 - atol
+    with the target), and failed (correction is None).  An ``atol`` below
+    ``fock.DROP_TOL``, the amplitude the simulation drops, raises
+    ``ValueError``: rounding would decide there.
     """
+    if not atol >= fock.DROP_TOL:
+        raise ValueError(f"atol {atol} is below the drop tolerance {fock.DROP_TOL:g}")
     rails = _output_rails(circuit)
     if len(rails) != target.n_qubits:
         raise ValueError("qubit counts differ")

@@ -320,7 +320,8 @@ def naive_phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
 
     Integer coefficient matrix; eliminates with unit pivots, branches on
     single-variable rows with larger coefficients, rejects anything else.
-    Yields candidate x vectors (possibly none).
+    Yields candidate x vectors (possibly none); an equation that elimination
+    empties is left to the fidelity test.
     """
     eqs = [(r.astype(float).copy(), float(a)) for r, a in zip(rows, angles)]
     pivots: list[tuple[int, np.ndarray, float]] = []
@@ -347,8 +348,6 @@ def naive_phase_solutions(rows: list[np.ndarray], angles: list[float], n: int):
     for r, a in eqs:
         nz = np.where(np.abs(r) > 1e-9)[0]
         if nz.size == 0:
-            if abs(sim._wrap(a)) > sim._ANGLE_TOL:
-                return
             continue
         if nz.size == 1:
             d = int(round(abs(r[nz[0]])))
@@ -404,7 +403,10 @@ def naive_labels(a_mask: int, x: np.ndarray, n: int) -> tuple[str, ...]:
 def naive_solve_correction(residual, target, atol: float = 1e-9):
     """Reference for ``sim.classify_feedforward``: one residual at a time,
     one bit-flip mask at a time, with the scalar phase solver and label
-    formatter above."""
+    formatter above.  A mask is tried when every support magnitude lies
+    within sqrt(2 atol) of the target's; the fidelity >= 1 - atol alone
+    decides, after one least-squares phase step for a solution that
+    misses."""
     t = target.amps
     r = residual.amps
     if r.size != t.size:
@@ -412,22 +414,29 @@ def naive_solve_correction(residual, target, atol: float = 1e-9):
     n = target.n_qubits
     index = np.arange(t.size)
     supp = np.flatnonzero(np.abs(t) > 1e-10)
-    off_supp = np.flatnonzero(np.abs(t) <= 1e-10)
     all_bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(int)
-    # phase equations only where |t| is above the 1e-7 fit tolerance, so
-    # that every fitting residual is nonzero there
+    # phase equations only where |t| is above 1e-7
     strong = np.flatnonzero(np.abs(t) > 1e-7)
     rows = list(all_bits[strong[1:]] - all_bits[strong[0]])
+    w = np.abs(t[strong])
+    design = w[:, None] * np.hstack([np.ones((strong.size, 1)), all_bits[strong]])
+
+    def fidelity(x, perm):
+        corrected = np.exp(1j * (all_bits @ x)) * perm
+        return abs(np.vdot(t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
+
     for a_mask in range(2 ** n):
         perm = r[index ^ a_mask]
-        if np.any(np.abs(np.abs(perm[supp]) - np.abs(t[supp])) > 1e-7):
+        if np.any(np.abs(np.abs(perm[supp]) - np.abs(t[supp])) > math.sqrt(2 * atol)):
             continue
-        if np.any(np.abs(perm[off_supp]) > 1e-7):
-            continue
-        q = np.angle(t[strong] / perm[strong])
+        q = np.angle(t[strong] * perm[strong].conj())
         for x in naive_phase_solutions(rows, sim._wrap(q[1:] - q[0]), n):
-            corrected = np.exp(1j * (all_bits @ x)) * perm
-            fid = abs(np.vdot(t, corrected)) ** 2 / float(np.vdot(corrected, corrected).real)
+            fid = fidelity(x, perm)
+            if fid < 1.0 - atol:
+                off = q - all_bits[strong] @ x
+                step = np.linalg.lstsq(design, w * sim._wrap(off - off[0]), rcond=None)[0]
+                x = x + step[1:]
+                fid = fidelity(x, perm)
             if fid >= 1.0 - atol:
                 return naive_labels(a_mask, x, n), float(fid)
     return None

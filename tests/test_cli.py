@@ -508,6 +508,23 @@ def test_atol_outside_zero_to_one_exits_2(tmp_path, capsys, value):
     assert_one_error(code, out, err, "atol")
 
 
+@pytest.mark.parametrize("value", ["0", "1e-13"])
+def test_atol_below_the_drop_tolerance_exits_2(tmp_path, capsys, value):
+    # below fock.DROP_TOL float rounding decides classification: at --atol 0
+    # W 3 read P_ff = 1/96 and 16/24 correctable instead of 1/64
+    g = tmp_path / "w3.json"
+    run_cli(capsys, "preset", "--kind", "w", "--n", "3", "--out", str(g))
+    code, out, err = run_cli(capsys, "verify", "--graph", str(g), "--target",
+                             "w", "--n", "3", f"--atol={value}")
+    assert_one_error(code, out, err, "atol", "1e-12")
+
+
+def test_simulate_n_without_target_exits_2(tmp_path, capsys):
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(c), "--n", "2")
+    assert_one_error(code, out, err, "--n needs --target")
+
+
 def _legs(doc):
     return [leg for dot in doc["dots"] for leg in dot["legs"]]
 

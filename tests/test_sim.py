@@ -529,8 +529,8 @@ def test_solve_correction_bit_flip():
 
 def test_solve_correction_ignores_the_phase_of_a_target_entry_below_the_fit_tolerance():
     # the target's last amplitude is inside its support but under the 1e-7
-    # fit tolerance, where the residual is exactly zero: that entry must
-    # impose no phase, and the fidelity is 1 - 2.2e-15
+    # threshold of the phase equations, where the residual is exactly zero:
+    # that entry must impose no phase, and the fidelity is 1 - 2.2e-15
     t = QubitState(np.array([1, 0, 0, 5e-8], dtype=complex))
     residual = QubitState(np.array([1, 0, 0, 0], dtype=complex))
     labels, fid = _solve(residual, t)
@@ -628,7 +628,7 @@ def test_solve_correction_undoes_a_random_local_correction(pair):
 def _phase_solutions(rows, angles, n):
     """sim._phase_solutions on a batch of one right-hand side."""
     batch = np.array(angles, dtype=float).reshape(len(rows), 1)
-    return [x[0] for ok, x in sim._phase_solutions(rows, batch, n) if ok[0]]
+    return [x[0] for x in sim._phase_solutions(rows, batch, n)]
 
 
 def test_phase_solver_unit_pivots():
@@ -663,20 +663,82 @@ def test_phase_solver_branches_on_scaled_pivot():
 
 
 def test_phase_solver_detects_inconsistency():
-    rows = [np.array([1, -1]), np.array([1, -1])]
-    angles = [0.3, 1.1]
-    assert _phase_solutions(rows, angles, 2) == []
+    # all four entries of two qubits pose x1, x0 and x0 + x1: the pivot
+    # solution meets the first two, the CZ sign misses the third by pi, and
+    # no bit flip or least-squares step brings the fidelity within atol
+    t = QubitState(np.full(4, 0.5))
+    residual = QubitState(np.array([1, 1, 1, -1]) / 2)
+    assert _solve(residual, t) is None
+    assert _solve(residual, t, 1e-3) is None
 
 
 def test_phase_solver_keeps_each_systems_consistency_apart():
-    # x0 - x1 appears twice; only the second system's angles agree
-    rows = [np.array([1, -1]), np.array([1, -1])]
-    angles = np.array([[0.3, 0.7], [1.1, 0.7]])
-    sols = list(sim._phase_solutions(rows, angles, 2))
-    assert len(sols) == 1
-    ok, x = sols[0]
-    assert ok.tolist() == [False, True]
-    assert abs(x[1, 0] - x[1, 1] - 0.7) < 1e-12
+    # the same three equations for two outcomes at once; only the second
+    # outcome's phases are a local correction's
+    t = QubitState(np.full(4, 0.5))
+    rows = [np.array([1, 1, 1, -1]) / 2, np.exp(1j * np.array([0, 0.7, 0.3, 1.0])) / 2]
+    outcomes = [sim.HeraldOutcome(((100 + i, 1),), 0.5, _rail_state(v, 2))
+                for i, v in enumerate(rows)]
+    bad, good = sim.classify_feedforward(outcomes, t, _qubit_rails_circuit(2))
+    assert bad.correction is None
+    assert good.correction == ("P(-0.300000)", "P(-0.700000)")
+    assert good.corrected_fidelity > 1 - 1e-14
+
+
+@pytest.mark.parametrize("eps,atol", [(1e-6, 1e-9), (1e-6, 1e-3), (1e-4, 1e-3)])
+def test_bell_residual_within_atol_needs_no_correction(eps, atol):
+    # (1 + eps, 0, 0, 1 - eps) has fidelity 1/(1 + eps^2) with the Bell
+    # target, though its magnitudes differ from the target's by eps/sqrt(2)
+    t = QubitState(np.array([1, 0, 0, 1]))
+    labels, fid = _solve(QubitState(np.array([1 + eps, 0, 0, 1 - eps])), t, atol)
+    assert labels == ("I", "I") and fid >= 1 - atol
+
+
+@pytest.mark.parametrize("atol", [0.0, 1e-13, math.nan])
+def test_classify_rejects_an_atol_below_the_drop_tolerance(atol):
+    t = target_state("ghz", 2)
+    with pytest.raises(ValueError, match="drop tolerance"):
+        _solve(t, t, atol)
+
+
+@st.composite
+def noisy_corrections(draw):
+    """A random target on 1-4 qubits, a residual, an atol and the fidelity
+    with the target that the exact inverse correction reaches on it.  The
+    residual is the target under a random local correction X^a
+    diag(1, e^{i phi}) per qubit and a global phase, plus noise of norm
+    eta <= sqrt(atol)."""
+    n = draw(st.integers(1, 4))
+    size = 2 ** n
+    mags = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]),
+                         min_size=size, max_size=size))
+    assume(any(mags))
+    angle = st.floats(0.0, 2 * math.pi)
+    t = np.array(mags) * np.exp(1j * np.array(draw(st.lists(angle, min_size=size,
+                                                            max_size=size))))
+    t /= np.linalg.norm(t)
+    a_mask = draw(st.integers(0, size - 1))
+    x = np.array(draw(st.lists(angle, min_size=n, max_size=n)))
+    bits = (np.arange(size)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    # corrected[b] = e^{i b.x} r[b ^ a] must equal t[b]
+    exact = np.empty(size, dtype=complex)
+    exact[np.arange(size) ^ a_mask] = t * np.exp(-1j * (bits @ x) + 1j * draw(angle))
+    atol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    noise = rng.normal(size=size) + 1j * rng.normal(size=size)
+    r = exact + draw(st.floats(0.0, 1.0)) * math.sqrt(atol) * noise / np.linalg.norm(noise)
+    r /= np.linalg.norm(r)
+    return QubitState(t), QubitState(r), atol, abs(np.vdot(exact, r)) ** 2
+
+
+@given(noisy_corrections())
+@settings(max_examples=300, deadline=None)
+def test_a_noisy_local_correction_is_found_within_atol(case):
+    target, residual, atol, exact = case
+    found = _solve(residual, target, atol)
+    if exact >= 1 - atol / 4:
+        assert found is not None
+    assert found is None or found[1] >= 1 - atol
 
 
 def _qubit_rails_circuit(n):
@@ -701,9 +763,8 @@ def residual_batches(draw):
     phases in multiples of pi/4, any global phase), such a residual with a
     1e-6 amplitude leaked off the target's support, the target's magnitudes
     under a bit flip with random phases, or random amplitudes.  A 5e-8
-    magnitude lies inside the target's support (|t| > 1e-10) but below the
-    1e-7 cut-off of the per-row count; a 1.5e-7 one poses a phase equation
-    yet sits within 2e-7 of zero."""
+    magnitude lies inside the target's support (|t| > 1e-10) but poses no
+    phase equation; a 1.5e-7 one poses one yet sits within 2e-7 of zero."""
     n = draw(st.integers(1, 4))
     size = 2 ** n
     mag = st.sampled_from([0.0, 5e-8, 1.5e-7, 0.1, 0.3, 0.5, 0.7, 1.0])
@@ -754,6 +815,26 @@ def test_classify_batch_matches_the_per_outcome_reference(batch):
         assert cl.correction == labels
         assert cl.identity == all(l == "I" for l in labels)
         assert abs(cl.corrected_fidelity - fid) <= fock.ATOL
+
+
+@given(residual_batches(), st.sampled_from([0.0, 1e-6, 1e-3, 0.1]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_raising_atol_never_uncorrects_an_outcome(batch, eta, seed):
+    target, rows = batch
+    n = target.n_qubits
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for i, v in enumerate(rows):
+        noise = rng.normal(size=v.size) + 1j * rng.normal(size=v.size)
+        v = v / np.linalg.norm(v) + eta * noise / np.linalg.norm(noise)
+        outcomes.append(sim.HeraldOutcome(((100 + i, 1),), 1.0, _rail_state(v, n)))
+    corrected = set()
+    for atol in (fock.DROP_TOL, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
+        classified = sim.classify_feedforward(outcomes, target, _qubit_rails_circuit(n), atol)
+        now = {i for i, cl in enumerate(classified) if cl.correction is not None}
+        assert corrected <= now, atol
+        corrected = now
 
 
 @pytest.mark.parametrize("terms,message", [
