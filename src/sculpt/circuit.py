@@ -21,7 +21,10 @@ Each element's JSON object is its kind plus its dataclass fields.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 POLARIZATION = "polarization"
@@ -107,6 +110,24 @@ class Multiport:
 
     def wires_used(self) -> tuple[int, ...]:
         return tuple(w for grp in self.ports for w in grp)
+
+
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
+
+
+@functools.lru_cache(maxsize=None)
+def fourier(n: int) -> tuple[tuple[complex, ...], ...]:
+    """The unitary an n-port :class:`Multiport` applies: U_jk =
+    w^(jk mod n)/sqrt(n), w = exp(2*pi*i/n); a power of w at a quarter turn
+    is exact (1, i, -1 or -i), so a 2-port's entries are exactly
+    +-1/sqrt(2)."""
+    def power(m: int) -> complex:
+        if 4 * m % n:
+            return cmath.exp(2j * math.pi * m / n)
+        return _QUARTER_TURNS[4 * m // n]
+
+    return tuple(tuple(power(j * k % n) / math.sqrt(n) for j in range(n))
+                 for k in range(n))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,9 @@ _EXPECTED = {
     "w": (lambda n: 1.0 / 2 ** (2 * n), lambda n: 1.0 / (n * 2 ** (2 * n + 1))),
     "type5": (lambda n: 5.0 / 1152.0, None),
 }
+# A report row's probabilities must equal their closed forms up to rounding,
+# relative to their size; ``--atol`` is a fidelity tolerance and not read here.
+_EXPECTED_RTOL = 1e-9
 
 
 class CliError(Exception):
@@ -199,8 +203,9 @@ def cmd_report(args) -> int:
         exp_ff_f, exp_no_f = _EXPECTED[kind]
         exp_ff = exp_ff_f(n)
         exp_no = exp_no_f(n) if exp_no_f else None
-        ok = (rep.passes(atol) and abs(rep.p_with_ff - exp_ff) <= atol
-              and (exp_no is None or abs(rep.p_without_ff - exp_no) <= atol))
+        ok = (rep.passes(atol) and math.isclose(rep.p_with_ff, exp_ff, rel_tol=_EXPECTED_RTOL)
+              and (exp_no is None
+                   or math.isclose(rep.p_without_ff, exp_no, rel_tol=_EXPECTED_RTOL)))
         if not ok:
             mismatches += 1
         print(f"{kind:8} {n:>2} "

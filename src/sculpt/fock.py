@@ -122,12 +122,6 @@ def ladder(state: FockState, legs: Sequence[tuple[WireId, complex]],
     return FockState(out)
 
 
-def tensor(a: FockState, b: FockState) -> FockState:
-    """Tensor product of two states on disjoint wires."""
-    return FockState({tuple(sorted(occ_a + occ_b)): amp_a * amp_b
-                      for occ_a, amp_a in a.terms() for occ_b, amp_b in b.terms()})
-
-
 def project_count(state: FockState, wires: Iterable[WireId], n: int) -> tuple[FockState, float]:
     """Component whose total photon count over ``wires`` equals n.
 

@@ -39,10 +39,7 @@ def initial_state(g: SculptingBigraph, table: OracleWires) -> FockState:
     level-0 boson per ancilla mode."""
     wires = [table[(label, level)] for label in g.main_labels() for level in (0, 1)]
     wires += [table[(a, 0)] for a in g.ancillas]
-    state = FockState.vacuum()
-    for w in wires:
-        state = fock.ladder(state, ((w, 1.0),), create=True)
-    return state
+    return FockState({tuple((w, 1) for w in sorted(wires)): 1.0})
 
 
 def _dot_wire_legs(g: SculptingBigraph, table: OracleWires,

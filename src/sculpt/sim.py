@@ -19,6 +19,12 @@ group's count filter is projected, on the factor that holds its wires, as
 soon as its subtractor's herald is fixed, so rejected branches are not
 carried through the rest of the circuit.
 
+Propagation holds each term as one packed integer key, wire w's count in
+its own bit field (see :mod:`packed`, which holds the kernel and says why
+no field overflows).  Outcomes unpack their patterns and residuals into
+``(wire, count)`` occupations.  :func:`apply_element` is the reference
+kernel on ``FockState`` terms; :func:`run_heralded` does not call it.
+
 Feed-forward classification searches for local corrections of the form
 X^a * diag(1, e^{i phi}) per output mode (bit flip optional, diagonal phase
 solved from the phase equations) that bring a residual to fidelity
@@ -30,20 +36,21 @@ array, one walk over the bit-flip masks.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import fock
+from . import fock, packed
 from .circuit import (Circuit, DetectorGroup, Multiport, Source, Swap, dual_rail_element,
-                      validate)
+                      fourier, validate)
 from .fock import FockState
+from .packed import Packed
 from .sculpting import QubitState, qubit_entries, to_qubit_state
 
 
@@ -51,23 +58,6 @@ class SimulationError(RuntimeError):
     def __init__(self, message: str, diagnostics: list[str] | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or [message]
-
-
-_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
-
-
-@functools.lru_cache(maxsize=None)
-def _fourier(n: int) -> tuple[tuple[complex, ...], ...]:
-    """U_jk = w^(jk mod n)/sqrt(n), w = exp(2*pi*i/n); a power of w at a
-    quarter turn is exact (1, i, -1 or -i), so a 2-port's entries are
-    exactly +-1/sqrt(2)."""
-    def power(m: int) -> complex:
-        if 4 * m % n:
-            return cmath.exp(2j * math.pi * m / n)
-        return _QUARTER_TURNS[4 * m // n]
-
-    return tuple(tuple(power(j * k % n) / math.sqrt(n) for j in range(n))
-                 for k in range(n))
 
 
 def _permutation(el) -> dict[int, int] | None:
@@ -85,7 +75,11 @@ def _permutation(el) -> dict[int, int] | None:
 def apply_element(state: FockState, el) -> FockState:
     """Apply one element's action, lowered by
     :func:`circuit.dual_rail_element`; unknown elements raise.  A
-    permutation is the substitution a†_src -> a†_dst."""
+    permutation is the substitution a†_src -> a†_dst.
+
+    This is the reference kernel, on ``FockState`` terms through
+    :func:`fock.substitute`; :func:`run_heralded` does not call it, but
+    propagates packed terms with :func:`packed.apply`."""
     el = dual_rail_element(el)
     perm = _permutation(el)
     if perm is not None:
@@ -99,7 +93,7 @@ def apply_element(state: FockState, el) -> FockState:
         return fock.scale(out, 1.0 / math.sqrt(math.factorial(el.photons)))
     if isinstance(el, Multiport):
         n = el.n
-        u = _fourier(n)
+        u = fourier(n)
         rules: dict[int, tuple] = {}
         arity = len(el.ports[0])
         for slot in range(arity):
@@ -143,17 +137,17 @@ def _on_final_wires(circuit: Circuit) -> list:
     return folded
 
 
-def _merge(owner: dict[int, tuple[FockState, frozenset[int]]],
-           wires: Iterable[int]) -> tuple[FockState, frozenset[int]]:
+def _joined(owner: dict[int, tuple[Packed, frozenset[int]]],
+            wires: Iterable[int]) -> tuple[Packed, frozenset[int]]:
     """The tensor product of the factors in ``owner`` that hold any of
     ``wires``, and the wires it holds: theirs and ``wires``, the ones no
     factor owns in vacuum."""
     wires = frozenset(wires)
-    state = None
+    terms = None
     for part, part_wires in {id(f): f for f in map(owner.get, wires) if f is not None}.values():
-        state = part if state is None else fock.tensor(state, part)
+        terms = part if terms is None else packed.tensor(terms, part)
         wires |= part_wires
-    return (FockState.vacuum() if state is None else state), wires
+    return ({0: 1 + 0j} if terms is None else terms), wires
 
 
 # ---------------------------------------------------------------------------
@@ -227,71 +221,74 @@ def run_heralded(circuit: Circuit) -> list[HeraldOutcome]:
     Each group's required-count filter is projected during propagation, at
     the point :func:`_herald_schedule` proves it commutes with the rest of
     the circuit; this only prunes terms that the final filter would reject.
-    The state is held as a product of factors (see the module docstring)
-    until the last element, after which all factors are merged.
+    The state is held as a product of factors of packed terms (see the
+    module docstring) until the last element, after which all factors are
+    merged.
     """
     diags = validate(circuit)
     if diags:
         raise SimulationError("invalid circuit: " + "; ".join(diags), diags)
     elements = _on_final_wires(circuit)
     schedule = _herald_schedule(circuit, elements)
-    # owner[w] is the factor, a (state, wires) pair, that holds wire w;
+    width = packed.field_width(sum(el.photons for el in elements if isinstance(el, Source)))
+    # owner[w] is the factor, a (terms, wires) pair, that holds wire w;
     # factors hold disjoint wires, and a wire no factor holds is in vacuum.
-    owner: dict[int, tuple[FockState, frozenset[int]]] = {}
+    owner: dict[int, tuple[Packed, frozenset[int]]] = {}
     for i, el in enumerate(elements):
-        state, wires = _merge(owner, el.wires_used())
-        owner.update(dict.fromkeys(wires, (apply_element(state, el), wires)))
+        terms, wires = _joined(owner, el.wires_used())
+        owner.update(dict.fromkeys(wires, (packed.apply(terms, el, width), wires)))
         for grp, span in schedule.get(i, ()):
-            state, wires = _merge(owner, span)
-            state, _ = fock.project_count(state, span, grp.required)
-            if state.is_zero():
+            terms, wires = _joined(owner, span)
+            terms = packed.project(terms, span, grp.required, width)
+            if not terms:
                 return []
-            owner.update(dict.fromkeys(wires, (state, wires)))
-    state, _ = _merge(owner, list(owner))
-    return _outcomes(state, circuit)
+            owner.update(dict.fromkeys(wires, (terms, wires)))
+    terms, _ = _joined(owner, list(owner))
+    return _heralded_outcomes(terms, circuit, width)
 
 
-def _outcomes(state: FockState, circuit: Circuit) -> list[HeraldOutcome]:
-    """Sort the final state into heralded outcomes in one pass over its
-    terms.
+def _heralded_outcomes(terms: Packed, circuit: Circuit, width: int) -> list[HeraldOutcome]:
+    """Sort the final packed terms into heralded outcomes in one pass.
 
-    A term is bucketed by its detector signature, its detector pairs, and
-    keyed by the rest of its pairs; both stay sorted, and the two together
-    give back the occupation, so no two terms of a bucket collide.  A
-    signature is accepted when every group's detector count equals its
-    required count.  The filters placed during propagation do not make this
-    check redundant: each fixes the count on its whole span, which may hold
-    wires that are neither detectors nor outputs.  A photon on such a wire
-    raises only in an accepted signature.
+    A term is bucketed by its detector signature ``key & det_mask`` and
+    keyed by the rest of its fields; the two together give back the key, so
+    no two terms of a bucket collide.  A signature is accepted when every
+    group's detector count equals its required count.  The filters placed
+    during propagation do not make this check redundant: each fixes the
+    count on its whole span, which may hold wires that are neither detectors
+    nor outputs.  A photon on such a wire raises only in an accepted
+    signature.  Each distinct signature and residual key is unpacked into
+    (wire, count) pairs once.
     """
-    detectors = circuit.detector_wires()
-    buckets: dict[fock.Occupation, dict[fock.Occupation, complex]] = defaultdict(dict)
-    for occ, amp in state.terms():
-        sig = []
-        rest = []
-        for pair in occ:
-            (sig if pair[0] in detectors else rest).append(pair)
-        buckets[tuple(sig)][tuple(rest)] = amp
+    det_mask = packed.field_mask(circuit.detector_wires(), width)
+    buckets: dict[int, Packed] = defaultdict(dict)
+    for key, amp in terms.items():
+        sig = key & det_mask
+        buckets[sig][key ^ sig] = amp
+    patterns = {sig: packed.unpack(sig, width) for sig in buckets}
+    group_of = {w: g for g, grp in enumerate(circuit.detector_groups) for w in grp.wires}
     required = [grp.required for grp in circuit.detector_groups]
-    groups_of: dict[int, list[int]] = {}
-    for g, grp in enumerate(circuit.detector_groups):
-        for w in grp.wires:
-            groups_of.setdefault(w, []).append(g)
+    off_outputs = ~packed.field_mask(circuit.outputs, width)
+    occupations: dict[int, fock.Occupation] = {}
     outcomes: list[HeraldOutcome] = []
-    for sig in sorted(buckets):
+    for sig in sorted(buckets, key=patterns.__getitem__):
         counts = [0] * len(required)
-        for w, n in sig:
-            for g in groups_of.get(w, ()):
-                counts[g] += n
+        for w, n in patterns[sig]:
+            counts[group_of[w]] += n
         if counts != required:
             continue
         bucket = buckets[sig]
-        stray = {w for key in bucket for w, _ in key}.difference(circuit.outputs)
+        stray = functools.reduce(operator.or_, bucket) & off_outputs
         if stray:
-            raise SimulationError(f"herald left photons on non-output wires {sorted(stray)}")
-        comp = FockState._adopt(bucket)
-        prob = fock.norm2(comp)
-        outcomes.append(HeraldOutcome(sig, prob, fock.scale(comp, 1.0 / math.sqrt(prob))))
+            wires = [w for w, _ in packed.unpack(stray, width)]
+            raise SimulationError(f"herald left photons on non-output wires {wires}")
+        for rest in bucket.keys() - occupations.keys():
+            occupations[rest] = packed.unpack(rest, width)
+        prob = sum(abs(amp) ** 2 for amp in bucket.values())
+        # scaled up, as prob <= 1, so every amplitude stays above DROP_TOL
+        scale = 1.0 / math.sqrt(prob)
+        residual = {occupations[rest]: amp * scale for rest, amp in bucket.items()}
+        outcomes.append(HeraldOutcome(patterns[sig], prob, FockState._adopt(residual)))
     return outcomes
 
 

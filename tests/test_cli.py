@@ -491,6 +491,15 @@ def test_simulate_residual_not_one_photon_per_mode_exits_2(tmp_path, capsys):
     assert_one_error(code, out, err, "not one boson per mode")
 
 
+def test_report_atol_does_not_loosen_the_closed_forms(capsys):
+    # W 4's P_no_ff is simulated 1/4096 against a stated 1/2048: 2.4e-4
+    # apart, inside a fidelity tolerance of 1e-3, but not the same number
+    code, out, _ = run_cli(capsys, "report", "--max-n", "4", "--atol", "1e-3")
+    rows = {tuple(l.split()[:2]): l.split()[-1] for l in out.splitlines()}
+    assert rows[("w", "4")] == "FAIL" and rows[("ghz", "4")] == "PASS"
+    assert code == 3
+
+
 def test_report_max_n_bounds_w_too(capsys):
     code, out, _ = run_cli(capsys, "report", "--max-n", "5")
     rows = [l.split()[:2] for l in out.splitlines()]

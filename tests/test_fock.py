@@ -156,15 +156,6 @@ def test_relabel_identity_and_roundtrip():
     assert fock.allclose(back, s)
 
 
-def test_tensor_multiplies_amplitudes_and_drops_the_negligible():
-    a = add_scaled(from_counts({0: 1}, 0.6), 1e-7, from_counts({1: 2}))
-    b = add_scaled(from_counts({2: 1}, 0.8j), 1e-6, from_counts({3: 1}))
-    out = fock.tensor(a, b)
-    assert dict(out.terms()) == {((0, 1), (2, 1)): 0.6 * 0.8j, ((0, 1), (3, 1)): 0.6e-6,
-                                 ((1, 2), (2, 1)): 0.8e-7j}
-    assert fock.allclose(fock.tensor(FockState.vacuum(), a), a)
-
-
 def test_substitute_preserves_norm_and_photons():
     s = add_scaled(ket(w0=2, w1=1), 0.5, ket(w1=3))
     u = {0: ((0, R2), (1, R2)), 1: ((0, R2), (1, -R2))}

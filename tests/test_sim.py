@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (add_scaled, amplitude, assert_same_outcomes, from_counts,
                      naive_solve_correction, reference_outcomes, signature_distribution,
                      total_photons)
-from sculpt import bigraph, fock, sim
+from sculpt import bigraph, fock, packed, sim
 from sculpt.bigraph import ghz, w
 from sculpt.circuit import (Circuit, DetectorGroup, HWP, Multiport, PBS,
-                            Source, Swap, UHWP, Wire)
+                            Source, Swap, UHWP, Wire, fourier)
 from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 from sculpt.fock import FockState
 from sculpt.analysis import oracle_qubit_state, target_state
@@ -79,9 +79,9 @@ def test_tritter_is_fourier():
 
 
 def test_fourier_entries_are_exact_at_quarter_turns():
-    assert sim._fourier(2) == ((R2, R2), (R2, -R2))
+    assert fourier(2) == ((R2, R2), (R2, -R2))
     quarter = [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]
-    assert sim._fourier(4) == tuple(tuple(z / 2 for z in row) for row in quarter)
+    assert fourier(4) == tuple(tuple(z / 2 for z in row) for row in quarter)
 
 
 def test_ghz_residuals_have_no_imaginary_part():
@@ -342,6 +342,18 @@ def test_zero_photon_source():
     assert_same_outcomes(outcomes, reference_outcomes(c))
 
 
+@pytest.mark.parametrize("photons", [(2, 2), (3,), (4,)], ids=["2+2", "3", "4"])
+def test_field_width_holds_every_photon_on_one_wire(photons):
+    # the beam splitter can put all photons on one wire, so a wire's field
+    # must hold the circuit's total: 2+2 photons need 3 bits where the
+    # largest source needs 2, 3 photons fill 2 bits and 4 need a third
+    elements = [Source(w, n) for w, n in enumerate(photons)] + [Multiport(((0,), (1,)))]
+    for required in range(sum(photons) + 1):
+        c = Circuit(_wires(4), elements, [DetectorGroup(0, (1,), required)],
+                    outputs=[0, 2, 3], output_modes=[])
+        assert_same_outcomes(sim.run_heralded(c), reference_outcomes(c))
+
+
 def test_stray_photon_in_an_accepted_signature_raises():
     # the photon on wire 1 is swapped onto circuit wire 3, which is neither
     # a detector nor an output; storage wire 1 is an output
@@ -382,14 +394,14 @@ def test_peak_terms(monkeypatch, kind, n, peak, dual_rail):
     # peaked at 2304, 128 and 1024
     c = _preset_circuit(kind, n, dual_rail)
     sizes = []
-    apply_element = sim.apply_element
+    apply = packed.apply
 
-    def counted(state, el):
-        out = apply_element(state, el)
-        sizes.append(out.num_terms())
+    def counted(terms, el, width):
+        out = apply(terms, el, width)
+        sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(sim, "apply_element", counted)
+    monkeypatch.setattr(packed, "apply", counted)
     sim.run_heralded(c)
     assert max(sizes) <= peak
 
