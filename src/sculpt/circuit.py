@@ -254,27 +254,25 @@ class CircuitSchemaError(ValueError):
     """Raised on malformed circuit JSON."""
 
 
-# JSON kind -> element class; a Multiport writes "bs" when it has two ports.
-_KINDS = {"source": Source, "hwp": HWP, "uhwp": UHWP, "pbs": PBS,
-          "bs": Multiport, "multiport": Multiport, "swap": Swap}
-
-
 def _element_to_json(el: Element) -> dict:
-    return {"kind": el.kind, **{f.name: getattr(el, f.name) for f in fields(el)}}
+    kind = el.kind
+    return {"kind": kind, **{name: getattr(el, name) for name, _, _ in _SCHEMA[kind][1]}}
 
 
 def serialize_circuit(c: Circuit) -> str:
+    """One line of JSON with sorted keys, so identical circuits give
+    identical bytes; without ``indent`` the C encoder writes it."""
     doc = {
         "encoding": c.encoding,
         "name": c.name,
         "wires": [{"id": w.id, "mode": w.mode, "channel": w.channel} for w in c.wires],
         "elements": [_element_to_json(el) for el in c.elements],
-        "detector_groups": [{"id": g.gid, "wires": list(g.wires), "count": g.required}
+        "detector_groups": [{"id": g.gid, "wires": g.wires, "count": g.required}
                             for g in c.detector_groups],
-        "outputs": list(c.outputs),
-        "output_modes": list(c.output_modes),
+        "outputs": c.outputs,
+        "output_modes": c.output_modes,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _element_from_json(doc: dict, where: str) -> Element:
@@ -284,20 +282,21 @@ def _element_from_json(doc: dict, where: str) -> Element:
     if "stage" in doc and doc["stage"] not in STAGES:
         raise CircuitSchemaError(
             f"{where}: stage {doc['stage']!r} is not one of {', '.join(STAGES)}")
-    cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
+    entry = _SCHEMA.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise CircuitSchemaError(f"{where}: unknown element kind {kind!r}")
+    cls, table = entry
     try:
         # A missing field with a default (the stage) takes the element's own.
-        return cls(**{f.name: _READ[f.type](doc[f.name], f.name) for f in fields(cls)
-                      if f.name in doc or f.default is MISSING})
+        return cls(**{name: read(doc[name], name) for name, read, required in table
+                      if required or name in doc})
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitSchemaError(f"{where}: malformed {kind} element ({exc})") from None
 
 
 def _int(value, where: str) -> int:
-    # JSON true/false load as bool, which subclasses int.
-    if not isinstance(value, int) or isinstance(value, bool):
+    # The exact type: JSON true/false load as bool, which subclasses int.
+    if type(value) is not int:
         raise CircuitSchemaError(f"{where}: {value!r} is not an integer")
     return value
 
@@ -313,10 +312,19 @@ _READ = {
     "int": _int,
     "str": _str,
     "tuple[tuple[int, int], ...]":
-        lambda pairs, key: tuple((_int(a, key), _int(b, key)) for a, b in pairs),
+        lambda pairs, key: tuple([(_int(a, key), _int(b, key)) for a, b in pairs]),
     "tuple[tuple[int, ...], ...]":
-        lambda groups, key: tuple(tuple(_int(w, key) for w in grp) for grp in groups),
+        lambda groups, key: tuple([tuple([_int(w, key) for w in grp]) for grp in groups]),
 }
+
+# JSON kind -> (element class, its (field, reader, required) triples), read
+# from the dataclass fields once; a field with a default (the stage) is not
+# required.  A Multiport writes "bs" when it has two ports.
+_SCHEMA = {kind: (cls, tuple((f.name, _READ[f.type], f.default is MISSING)
+                             for f in fields(cls)))
+           for kind, cls in {"source": Source, "hwp": HWP, "uhwp": UHWP, "pbs": PBS,
+                             "bs": Multiport, "multiport": Multiport,
+                             "swap": Swap}.items()}
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -327,7 +335,8 @@ def parse_circuit(text: str) -> Circuit:
     if not isinstance(doc, dict):
         raise CircuitSchemaError("top level: expected an object")
     try:
-        wires = [Wire(_int(w["id"], f"wires[{i}].id"), w["mode"], w["channel"])
+        wires = [Wire(_int(w["id"], f"wires[{i}].id"), _str(w["mode"], f"wires[{i}].mode"),
+                      _str(w["channel"], f"wires[{i}].channel"))
                  for i, w in enumerate(doc["wires"])]
         elements = [_element_from_json(e, f"elements[{i}]")
                     for i, e in enumerate(doc["elements"])]
@@ -336,10 +345,13 @@ def parse_circuit(text: str) -> Circuit:
                                       for w in g["wires"]),
                                 _int(g["count"], f"detector_groups[{i}].count"))
                   for i, g in enumerate(doc["detector_groups"])]
+        modes = doc["output_modes"]
+        if not isinstance(modes, list):
+            raise CircuitSchemaError(f"output_modes: {modes!r} is not a list")
         c = Circuit(wires, elements, groups,
                     [_int(w, "outputs") for w in doc["outputs"]],
-                    list(doc["output_modes"]), doc.get("encoding", POLARIZATION),
-                    doc.get("name", ""))
+                    [_str(m, "output_modes") for m in modes],
+                    doc.get("encoding", POLARIZATION), _str(doc.get("name", ""), "name"))
     except (KeyError, TypeError) as exc:
         raise CircuitSchemaError(f"missing or malformed field: {exc}") from None
     return c

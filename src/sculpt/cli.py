@@ -154,7 +154,8 @@ def cmd_simulate(args) -> int:
         })
     doc = {"outcomes": rows, "total_probability": total,
            "total_probability_rational": fock.rationalize(total)}
-    _write(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # one line, so the C encoder writes it; sorted keys keep it byte-stable
+    _write(args.report, json.dumps(doc, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 """Graph model: classification, matchings, presets, serialization."""
 
+import hashlib
 import itertools
 import math
 
@@ -234,6 +235,18 @@ def test_serialization_roundtrip():
             assert a.mode == b.mode and a.dot == b.dot
             assert abs(a.amplitude - b.amplitude) < 1e-12
             assert a.state.isclose(b.state)
+
+
+# perfbench prints a SHA-256 over the graph JSON it writes, so that two runs
+# can be shown to use the same inputs; that digest depends on these bytes.
+@pytest.mark.parametrize("kind,n,digest", [
+    ("ghz", 2, "3cde705dceb8fff979f48d3935aed3bcd7b72a4d8b423852923e07734f3d2b70"),
+    ("w", 3, "6267b916c2b89bf55f4730c78cf428208c277698a44fe947b76d430553a63ecd"),
+    ("type5", 3, "7b28022e2f3ec98c1452d080d8d1efbbbebde5bcbc21ac3f099ba3266554a12f"),
+])
+def test_serialized_graph_bytes_are_pinned(kind, n, digest):
+    text = serialize_graph(preset(kind, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_parse_rejects_bad_normalization():

@@ -1,19 +1,21 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sculpt import analysis, circuit, cli, sim
+from sculpt import analysis, bigraph, circuit, cli, sim
 from sculpt.bigraph import ghz, serialize_graph, w
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph
 from sculpt.circuit import parse_circuit, serialize_circuit
 from sculpt.cli import main
-from sculpt.compiler import compile_graph
+from sculpt.compiler import CompileError, compile_graph, to_dual_rail
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +179,88 @@ def test_dual_rail_twin_simulates_to_the_same_report(tmp_path, capsys, kind, n):
                        "--report", str(r))[0] == 0
         reports.append(json.loads(r.read_text()))
     assert reports[0]["outcomes"] and reports[0] == reports[1]
+
+
+def _plain(value):
+    """Tuples as the lists JSON loads them as."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _circuit_document(c):
+    """The circuit JSON document, built from its dataclass fields."""
+    return {
+        "encoding": c.encoding,
+        "name": c.name,
+        "wires": [dataclasses.asdict(wire) for wire in c.wires],
+        "elements": [{"kind": el.kind,
+                      **{f.name: _plain(getattr(el, f.name)) for f in dataclasses.fields(el)}}
+                     for el in c.elements],
+        "detector_groups": [{"id": g.gid, "wires": list(g.wires), "count": g.required}
+                            for g in c.detector_groups],
+        "outputs": list(c.outputs),
+        "output_modes": list(c.output_modes),
+    }
+
+
+def _random_circuits(count, seed=20261021):
+    rng = np.random.default_rng(seed)
+    circuits = []
+    while len(circuits) < count:
+        g = bigraph.random_epm(rng, int(rng.integers(2, 4)), int(rng.integers(0, 2)),
+                               realizable=True)
+        try:
+            circuits.append(compile_graph(g))
+        except CompileError:
+            pass
+    return circuits
+
+
+def _no_python_encoder(monkeypatch):
+    """Make the pure-Python JSON encoder, which ``indent`` selects, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({}, indent=2)
+
+
+_PRESETS = [("ghz", 2), ("ghz", 3), ("ghz", 4), ("ghz", 5), ("w", 2), ("w", 3),
+            ("w", 4), ("type5", 3)]
+
+
+def test_circuit_json_is_one_line_from_the_c_encoder(monkeypatch):
+    circuits = [compile_graph(bigraph.preset(kind, n)) for kind, n in _PRESETS]
+    circuits += _random_circuits(50)
+    circuits += [to_dual_rail(c) for c in circuits]
+    _no_python_encoder(monkeypatch)
+    for c in circuits:
+        text = serialize_circuit(c)
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert json.loads(text) == _circuit_document(c)
+        assert parse_circuit(text) == c
+        assert serialize_circuit(parse_circuit(text)) == text
+
+
+@pytest.mark.parametrize("kind,n", _PRESETS)
+@pytest.mark.parametrize("dual_rail", [False, True], ids=["polarization", "dual-rail"])
+def test_simulate_report_is_one_line_from_the_c_encoder(tmp_path, capsys, monkeypatch,
+                                                        kind, n, dual_rail):
+    c = compile_graph(bigraph.preset(kind, n))
+    if dual_rail:
+        c = to_dual_rail(c)
+    _no_python_encoder(monkeypatch)
+    path = tmp_path / "c.json"
+    path.write_text(serialize_circuit(c))
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--target", kind,
+                             "--n", str(n))
+    assert code == 0, err
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    report = json.loads(out)
+    assert report["outcomes"]
+    assert out == json.dumps(report, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -455,6 +539,75 @@ def test_simulate_non_integer_dual_rail_wire_exits_2(tmp_path, capsys, kind, val
         (el["ports"] if kind == "bs" else el["mapping"])[-1][-1] = value
     code, out, err = _simulate_mutated_dual_rail(tmp_path, capsys, mutate)
     assert_one_error(code, out, err, f"malformed {kind} element", f"{value!r}")
+
+
+def _ancilla_wire(doc):
+    return next(w for w in doc["wires"] if w["mode"] not in doc["output_modes"])
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # read once without a type check: "12" simulated as the modes "1" and
+    # "2", and a non-string name or ancilla wire passed
+    (lambda doc: doc.update(output_modes="12"), "output_modes: '12' is not a list"),
+    (lambda doc: doc["output_modes"].__setitem__(0, 1), "output_modes: 1 is not a string"),
+    (lambda doc: doc.update(name=[1, 2]), "name: [1, 2] is not a string"),
+    (lambda doc: _ancilla_wire(doc).update(mode=7), "wires[{i}].mode: 7 is not a string"),
+    (lambda doc: _ancilla_wire(doc).update(channel=7),
+     "wires[{i}].channel: 7 is not a string"),
+], ids=["output-modes-string", "output-mode-integer", "name-list", "wire-mode",
+        "wire-channel"])
+def test_simulate_non_string_name_or_mode_exits_2(tmp_path, capsys, mutate, message):
+    doc = json.loads(serialize_circuit(compile_graph(ghz(2))))
+    i = doc["wires"].index(_ancilla_wire(doc))
+    code, out, err = _simulate_mutated_target(tmp_path, capsys, mutate)
+    assert_one_error(code, out, err)
+    assert err == f"error: {tmp_path / 'c.json'}: {message.format(i=i)}\n"
+
+
+# The first element of each kind in the W 3 circuit, with the messages each
+# change to it gave when each kind's fields were read by reflection.
+_KIND_ERRORS = {
+    # kind: (required field, an integer field set to true, its message)
+    "source": ("wire", "wire", "wire: True is not an integer"),
+    "hwp": ("mode", "h", "h: True is not an integer"),
+    "uhwp": ("mode", "h", "h: True is not an integer"),
+    "pbs": ("mode_a", "a_h", "a_h: True is not an integer"),
+    "bs": ("ports", "ports", "ports: True is not an integer"),
+    "multiport": ("ports", "ports", "ports: True is not an integer"),
+    "swap": ("mapping", "mapping", "mapping: True is not an integer"),
+}
+
+
+def _set_integer_true(el, name):
+    if name == "ports":
+        el["ports"][0][0] = True
+    elif name == "mapping":
+        el["mapping"][0][0] = True
+    else:
+        el[name] = True
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_ERRORS))
+@pytest.mark.parametrize("case", ["missing", "true", "stage"])
+def test_element_schema_errors_name_the_kind_and_field(tmp_path, capsys, kind, case):
+    doc = json.loads(serialize_circuit(compile_graph(w(3))))
+    i, el = next((i, el) for i, el in enumerate(doc["elements"]) if el["kind"] == kind)
+    required, integer, true_message = _KIND_ERRORS[kind]
+    if case == "missing":
+        del el[required]
+        message = f"malformed {kind} element ('{required}')"
+    elif case == "true":
+        _set_integer_true(el, integer)
+        message = f"malformed {kind} element ({true_message})"
+    else:
+        el["stage"] = "bogus"
+        message = ("stage 'bogus' is not one of source, prep, split, route, "
+                   "subtract, merge, mix")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(path))
+    assert_one_error(code, out, err)
+    assert err == f"error: {path}: elements[{i}]: {message}\n"
 
 
 def test_simulate_validates_the_circuit_once(tmp_path, capsys, monkeypatch):
