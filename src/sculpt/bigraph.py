@@ -15,6 +15,7 @@ EPM.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -116,9 +117,13 @@ class EpmPattern(Enum):
     NON_EPM = "non-EPM"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SculptingBigraph:
-    """Circles + dots + directed edges; the compiler/oracle input IR."""
+    """Circles + dots + directed edges; the compiler/oracle input IR.
+
+    Each view of the graph (its main labels, circles, dots, and edges by dot
+    and by circle) is derived on first use and kept; the graph is frozen, so
+    a view cannot go stale.  The methods return fresh lists."""
 
     n_main: int
     ancillas: tuple[str, ...]
@@ -126,7 +131,7 @@ class SculptingBigraph:
     name: str = ""
 
     def __post_init__(self) -> None:
-        labels = self.main_labels() + list(self.ancillas)
+        labels = self._main_labels + tuple(self.ancillas)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate circle labels")
         known = set(labels)
@@ -134,29 +139,52 @@ class SculptingBigraph:
             if e.mode not in known:
                 raise ValueError(f"edge references unknown circle {e.mode!r}")
 
+    @functools.cached_property
+    def _main_labels(self) -> tuple[str, ...]:
+        return tuple([str(j) for j in range(1, self.n_main + 1)])
+
+    @functools.cached_property
+    def _circles(self) -> dict[str, Circle]:
+        """Label -> circle, main circles first."""
+        return {**{l: Circle(l, CircleKind.MAIN) for l in self._main_labels},
+                **{l: Circle(l, CircleKind.ANCILLA) for l in self.ancillas}}
+
+    @functools.cached_property
+    def _edges_by_dot(self) -> dict[int, tuple[Edge, ...]]:
+        """Dot id -> its edges in edge order, by increasing dot id."""
+        by_dot: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            by_dot.setdefault(e.dot, []).append(e)
+        return {dot: tuple(by_dot[dot]) for dot in sorted(by_dot)}
+
+    @functools.cached_property
+    def _edges_by_circle(self) -> dict[str, tuple[Edge, ...]]:
+        """Circle label -> its edges in edge order."""
+        by_circle: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            by_circle.setdefault(e.mode, []).append(e)
+        return {label: tuple(edges) for label, edges in by_circle.items()}
+
     def main_labels(self) -> list[str]:
-        return [str(j) for j in range(1, self.n_main + 1)]
+        return list(self._main_labels)
 
     def circle(self, label: str) -> Circle:
-        if label in self.ancillas:
-            return Circle(label, CircleKind.ANCILLA)
-        if label in self.main_labels():
-            return Circle(label, CircleKind.MAIN)
-        raise KeyError(f"unknown circle {label!r}")
+        try:
+            return self._circles[label]
+        except KeyError:
+            raise KeyError(f"unknown circle {label!r}") from None
 
     def circles(self) -> list[Circle]:
-        mains = [Circle(l, CircleKind.MAIN) for l in self.main_labels()]
-        ancs = [Circle(l, CircleKind.ANCILLA) for l in self.ancillas]
-        return mains + ancs
+        return list(self._circles.values())
 
     def dot_ids(self) -> list[int]:
-        return sorted({e.dot for e in self.edges})
+        return list(self._edges_by_dot)
 
     def edges_of_circle(self, label: str) -> list[Edge]:
-        return [e for e in self.edges if e.mode == label]
+        return list(self._edges_by_circle.get(label, ()))
 
     def edges_of_dot(self, dot: int) -> list[Edge]:
-        return [e for e in self.edges if e.dot == dot]
+        return list(self._edges_by_dot.get(dot, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ class HWP:
     def wires_used(self) -> tuple[int, ...]:
         return (self.h, self.v)
 
+    @property
+    def ports(self) -> tuple[tuple[int, ...], ...]:
+        """The balanced beam splitter it lowers to: H, then V."""
+        return ((self.h,), (self.v,))
+
 
 @dataclass(frozen=True)
 class UHWP:
@@ -75,6 +80,11 @@ class UHWP:
 
     def wires_used(self) -> tuple[int, ...]:
         return (self.h, self.v)
+
+    @property
+    def ports(self) -> tuple[tuple[int, ...], ...]:
+        """The balanced beam splitter it lowers to: V, then H."""
+        return ((self.v,), (self.h,))
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,11 @@ class PBS:
 
     def wires_used(self) -> tuple[int, ...]:
         return (self.a_h, self.a_v, self.b_h, self.b_v)
+
+    @property
+    def mapping(self) -> tuple[tuple[int, int], ...]:
+        """The swap it lowers to: its two V wires trade places."""
+        return ((self.a_v, self.b_v), (self.b_v, self.a_v))
 
 
 @dataclass(frozen=True)
@@ -147,15 +162,13 @@ Element = Source | HWP | UHWP | PBS | Multiport | Swap
 
 def dual_rail_element(el: Element) -> Element:
     """The element as it acts on its wires in either encoding: a wave plate
-    becomes the balanced beam splitter across its two wires, the rotated
-    plate with its V port first, and a PBS the swap of its two V wires.
-    Every other element is returned as is; each keeps its stage."""
-    if isinstance(el, HWP):
-        return Multiport(((el.h,), (el.v,)), el.stage)
-    if isinstance(el, UHWP):
-        return Multiport(((el.v,), (el.h,)), el.stage)
+    becomes the balanced beam splitter on its ``ports``, and a PBS the swap
+    of its ``mapping``.  Every other element is returned as is; each keeps
+    its stage."""
+    if isinstance(el, (HWP, UHWP)):
+        return Multiport(el.ports, el.stage)
     if isinstance(el, PBS):
-        return Swap(((el.a_v, el.b_v), (el.b_v, el.a_v)), el.stage)
+        return Swap(el.mapping, el.stage)
     return el
 
 

@@ -70,8 +70,10 @@ def _target(kind: str, n: int) -> analysis.QubitState:
         raise CliError(str(exc)) from None
 
 
-def _only_pattern(text: str | None) -> dict[str, int] | None:
-    """The --only-pattern JSON object, with its keys as strings."""
+def _only_pattern(text: str | None, detectors: set[int]) -> dict[str, int] | None:
+    """The --only-pattern JSON object as a report row's pattern: each key
+    the decimal id of one of ``detectors``, each count a non-negative
+    integer (not a bool), and the zero counts dropped."""
     if text is None:
         return None
     try:
@@ -80,7 +82,13 @@ def _only_pattern(text: str | None) -> dict[str, int] | None:
         raise CliError(f"--only-pattern: invalid JSON: {exc}") from None
     if not isinstance(wanted, dict):
         raise CliError("--only-pattern: expected a JSON object {\"wire\": count}")
-    return {str(k): v for k, v in wanted.items()}
+    for key, count in wanted.items():
+        if not (key.isdecimal() and str(int(key)) == key and int(key) in detectors):
+            raise CliError(f"--only-pattern: {key!r} is not the id of a detector wire")
+        if type(count) is not int or count < 0:
+            raise CliError(f"--only-pattern: count {count!r} of wire {key} is not "
+                           f"a non-negative integer")
+    return {key: count for key, count in wanted.items() if count}
 
 
 def _parse_graph_file(path: str) -> bigraph.SculptingBigraph:
@@ -123,7 +131,7 @@ def cmd_simulate(args) -> int:
     if args.n is not None and not args.target:
         raise CliError("--n needs --target")
     c = _parse_circuit_file(args.circuit)
-    wanted = _only_pattern(args.only_pattern)
+    wanted = _only_pattern(args.only_pattern, c.detector_wires())
     target = None
     if args.target:
         n_out = len(c.output_modes)
@@ -191,6 +199,8 @@ def cmd_export_dot(args) -> int:
 
 def cmd_report(args) -> int:
     atol = _atol(args)
+    if args.max_n < 2:
+        raise CliError(f"--max-n {args.max_n} is below 2, the smallest GHZ and W size")
     jobs = ([("ghz", n) for n in range(2, args.max_n + 1)]
             + [("w", n) for n in range(2, args.max_n + 1)] + [("type5", 3)])
     header = (f"{'scheme':8} {'n':>2} {'P_ff':>12} {'expected':>12} "

@@ -83,10 +83,9 @@ class Layout:
 
 def _plan_dot(g: SculptingBigraph, dot: int) -> tuple[str, list[Edge], list[Edge]]:
     """Classify one dot against the known subtractor realizations."""
-    kinds = {c.label: c.kind for c in g.circles()}
     legs = g.edges_of_dot(dot)
-    mains = [e for e in legs if kinds[e.mode] is CircleKind.MAIN]
-    ancs = [e for e in legs if kinds[e.mode] is CircleKind.ANCILLA]
+    mains = [e for e in legs if g.circle(e.mode).kind is CircleKind.MAIN]
+    ancs = [e for e in legs if g.circle(e.mode).kind is CircleKind.ANCILLA]
     d = len(legs)
     mag = 1.0 / math.sqrt(d)
     problems = []
@@ -131,6 +130,20 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
         raise CompileError([f"circle {b!r} does not match an EPM pattern" for b in bad])
     subtraction_operators(g)  # per-dot normalization check
 
+    # Both rejections are decided before any element is built: the dot plans,
+    # and the return collision, which the plans' block kinds decide: a main
+    # circle whose red (+) leg is in an optimized block and whose blue (-)
+    # leg is in a general one.
+    plans = {dot: _plan_dot(g, dot) for dot in g.dot_ids()}
+    kind_of = {(e.mode, e.state.name): kind
+               for kind, main_edges, _ in plans.values() for e in main_edges}
+    mains = g.main_labels()
+    for label in mains:
+        if kind_of[label, "-"] == "general" and kind_of[label, "+"] == "optimized":
+            raise CompileError(
+                [f"mode {label!r}: optimized subtractor return collides with a "
+                 f"general subtractor return; no known realization"])
+
     wires: list[Wire] = []
     loc_wires: dict[str, dict[str, int]] = {}
 
@@ -150,7 +163,6 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
     def wid(loc: str, ch: str) -> int:
         return loc_wires[loc][ch]
 
-    mains = g.main_labels()
     elements = []
 
     # source + prep ---------------------------------------------------------
@@ -182,8 +194,7 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
             ports = tuple((wid(loc, "H"), wid(loc, "V")) for loc in outs)
             elements.append(Multiport(ports, "split"))
 
-    # plan blocks and routed leg locations -----------------------------------
-    plans = {dot: _plan_dot(g, dot) for dot in g.dot_ids()}
+    # blocks and routed leg locations ----------------------------------------
     route_pairs: list[tuple[int, int]] = []
     blocks: dict[int, Block] = {}
 
@@ -260,21 +271,12 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
             blk.tap_locs.append(loc)
 
     # merge -------------------------------------------------------------------
-    red_block_of: dict[str, Block] = {}
-    blue_block_of: dict[str, Block] = {}
-    for blk in blocks.values():
-        for leg in blk.main_legs:
-            (red_block_of if leg.color == "+" else blue_block_of)[leg.circle] = blk
+    blue_leg_of = {leg.circle: leg for blk in blocks.values() if blk.kind == "general"
+                   for leg in blk.main_legs if leg.color == "-"}
     for label in mains:
-        rblk = red_block_of[label]
-        bblk = blue_block_of[label]
-        if bblk.kind == "optimized":
-            continue  # its return already sits on the mode location
-        if rblk.kind == "optimized":
-            raise CompileError(
-                [f"mode {label!r}: optimized subtractor return collides with a "
-                 f"general subtractor return; no known realization"])
-        ret = next(l.ret_loc for l in bblk.main_legs if l.circle == label)
+        if label not in blue_leg_of:
+            continue  # an optimized return already sits on the mode location
+        ret = blue_leg_of[label].ret_loc
         elements.append(PBS(label, ret, wid(label, "H"), wid(label, "V"),
                             wid(ret, "H"), wid(ret, "V"), "merge"))
 

@@ -9,18 +9,20 @@ A factor of the propagated state maps keys to amplitudes.  The tensor
 product of two factors on disjoint wires ORs their keys; a source adds to
 its wire's field; a multiport replaces the fields of its wires
 (``key & mask``) by those of each image term; a count filter reads a key
-under the mask of the wires it counts.  :func:`unpack` turns a key back into
-the ``(wire, count)`` occupation that :mod:`fock` states are keyed by.
+under the mask of the wires it counts.  Each lowered element reaches the
+kernel as a :class:`Step`: its wires with their offsets and mask, computed
+once.  :func:`unpack` turns a key back into the ``(wire, count)`` occupation
+that :mod:`fock` states are keyed by.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import fock
-from .circuit import Source, fourier
+from .circuit import fourier
 from .fock import FockState
 
 # occupation key (wire w's count in bits [w*width, (w+1)*width)) -> amplitude
@@ -34,7 +36,11 @@ def field_width(photons: int) -> int:
 
 def field_mask(wires: Iterable[int], width: int) -> int:
     """The bits of the fields of ``wires``."""
-    return sum(((1 << width) - 1) << w * width for w in wires)
+    fmask = (1 << width) - 1
+    mask = 0
+    for w in wires:
+        mask |= fmask << w * width
+    return mask
 
 
 def unpack(key: int, width: int) -> fock.Occupation:
@@ -69,8 +75,27 @@ def _mixer_image(n: int, arity: int,
     return tuple(image.terms())
 
 
-def apply(terms: Packed, el, width: int) -> Packed:
-    """One lowered source or multiport, on a factor's terms.
+class Step(NamedTuple):
+    """One lowered source or multiport on packed keys.  ``wires`` lists its
+    wires port by port, at field offsets ``offs``, under the field mask
+    ``mask``.  A source has ``n`` 0 and adds ``k`` photons to its one wire;
+    a multiport is an n-port Fourier mixer of ``k`` wires per port."""
+
+    wires: tuple[int, ...]
+    offs: tuple[int, ...]
+    mask: int
+    n: int
+    k: int
+
+
+def step(wires: tuple[int, ...], n: int, k: int, width: int) -> Step:
+    """The step of a source (``n`` 0, ``k`` photons) or an n-port mixer of
+    ``k`` wires per port on ``wires``, at field width ``width``."""
+    return Step(wires, tuple([w * width for w in wires]), field_mask(wires, width), n, k)
+
+
+def apply(terms: Packed, st: Step, width: int) -> Packed:
+    """One step on a factor's terms.
 
     A source of k photons on a wire holding m adds k to its field and
     multiplies the amplitude by sqrt(C(m + k, k)).  A multiport reads its
@@ -78,16 +103,12 @@ def apply(terms: Packed, el, width: int) -> Packed:
     is shifted onto the element's fields once and OR'd into ``key ^ local``.
     Amplitudes below ``fock.DROP_TOL`` are dropped, as
     :func:`fock.substitute` drops them."""
-    fmask = (1 << width) - 1
-    if isinstance(el, Source):
-        off = el.wire * width
-        k = el.photons
-        return {key + (k << off): amp * math.sqrt(math.comb((key >> off & fmask) + k, k))
+    _, offs, mask, n, k = st
+    if not n:
+        off = offs[0]
+        return {key + (k << off): amp * math.sqrt(math.comb(((key & mask) >> off) + k, k))
                 for key, amp in terms.items()}
-    wires = el.wires_used()
-    offs = [w * width for w in wires]
-    mask = field_mask(wires, width)
-    arity = len(el.ports[0])
+    fmask = (1 << width) - 1
     images: dict[int, list[tuple[int, complex]]] = {}
     out: Packed = {}
     get = out.get
@@ -98,12 +119,12 @@ def apply(terms: Packed, el, width: int) -> Packed:
             counts = tuple(local >> off & fmask for off in offs)
             image = images[local] = [
                 (sum(count << offs[r] for r, count in occ), c)
-                for occ, c in _mixer_image(el.n, arity, counts)]
+                for occ, c in _mixer_image(n, k, counts)]
         rest = key ^ local
         for img, c in image:
-            k = rest | img
-            out[k] = get(k, 0.0) + amp * c
-    return {k: amp for k, amp in out.items() if abs(amp) >= fock.DROP_TOL}
+            key_out = rest | img
+            out[key_out] = get(key_out, 0.0) + amp * c
+    return {key: amp for key, amp in out.items() if abs(amp) >= fock.DROP_TOL}
 
 
 def tensor(a: Packed, b: Packed) -> Packed:
@@ -113,10 +134,9 @@ def tensor(a: Packed, b: Packed) -> Packed:
             if abs(c := aa * ab) >= fock.DROP_TOL}
 
 
-def project(terms: Packed, wires: Iterable[int], required: int, width: int) -> Packed:
-    """The terms whose photon count over ``wires`` is ``required``; each
-    distinct occupation of those wires is counted once."""
-    mask = field_mask(wires, width)
+def project(terms: Packed, mask: int, required: int, width: int) -> Packed:
+    """The terms whose photon count over the fields under ``mask`` is
+    ``required``; each distinct occupation of those fields is counted once."""
     counts = {local: sum(n for _, n in unpack(local, width))
               for local in {key & mask for key in terms}}
     return {key: amp for key, amp in terms.items() if counts[key & mask] == required}

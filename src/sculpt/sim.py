@@ -1,23 +1,24 @@
 """Exact Fock-space simulation of circuits with heralded post-selection.
 
-The propagated state is held sparsely.  Each element is first lowered by
-:func:`circuit.dual_rail_element`, so in either encoding a wave plate acts
-as a balanced beam splitter and a PBS as a swap, and three operations
-remain: create (a source), permute (a swap) and mix (a multiport,
-a linear substitution on creation operators); propagation is exact up to
-floating point.  Permutations touch no term: one backward pass drops them
-and moves every other element onto the circuit wires that the permutations
-after it carry its wires to, so the state, each filter and the final
-outcomes are keyed by final circuit wires throughout.  The state is a
-product of factors, each a sparse state on a disjoint set of wires: a
-source or multiport first merges, by tensor product, the factors that own
-its wires and then acts on that one factor.  One pass over the final state
+The propagated state is held sparsely.  One backward pass over a circuit,
+:func:`_plan`, lowers each element through the ``ports`` or ``mapping`` that
+:func:`circuit.dual_rail_element` also reads, so in either encoding a wave
+plate acts as a balanced beam splitter and a PBS as a swap, and three
+operations remain: create (a source), permute (a swap) and mix (a
+multiport, a linear substitution on creation operators); propagation is
+exact up to floating point.  Permutations touch no term: the pass folds
+them into the map from each wire to the circuit wire its photons end on,
+and moves every other element onto those wires, so the state, each filter
+and the final outcomes are keyed by final circuit wires throughout.  The
+same pass places each detector group's count filter as soon as its
+subtractor's herald is fixed, so rejected branches are not carried through
+the rest of the circuit, and it returns plain integer steps.  The state is
+a product of factors, each a sparse state on a disjoint set of wires: a
+step or filter first merges, by tensor product, the factors that own its
+wires and then acts on that one factor.  One pass over the final state
 buckets the terms by their detector-wire occupation signature: each
 signature that meets every detector group's required count becomes one
-outcome with an exact conditional residual state and probability.  Each
-group's count filter is projected, on the factor that holds its wires, as
-soon as its subtractor's herald is fixed, so rejected branches are not
-carried through the rest of the circuit.
+outcome with an exact conditional residual state and probability.
 
 Propagation holds each term as one packed integer key, wire w's count in
 its own bit field (see :mod:`packed`, which holds the kernel and says why
@@ -47,11 +48,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fock, packed
-from .circuit import (Circuit, DetectorGroup, Multiport, Source, Swap, dual_rail_element,
-                      fourier, validate)
+from .circuit import (HWP, PBS, UHWP, Circuit, DetectorGroup, Multiport, Source, Swap,
+                      dual_rail_element, fourier, validate)
 from .fock import FockState
 from .packed import Packed
 from .sculpting import QubitState, qubit_entries, to_qubit_state
+
+
+# A count filter: the detector group, the wires it counts and their field mask.
+Filter = tuple[DetectorGroup, tuple[int, ...], int]
 
 
 class SimulationError(RuntimeError):
@@ -104,50 +109,91 @@ def apply_element(state: FockState, el) -> FockState:
     raise SimulationError(f"unknown element {el!r}")
 
 
-def _moved(el, to: dict[int, int]):
-    """A lowered source or multiport moved onto the wires ``to`` maps its
-    wires to (a wire not in ``to`` stays)."""
-    if isinstance(el, Source):
-        return Source(to.get(el.wire, el.wire), el.photons, el.stage)
-    if isinstance(el, Multiport):
-        return Multiport(tuple(tuple(to.get(w, w) for w in grp) for grp in el.ports),
-                         el.stage)
-    raise SimulationError(f"unknown element {el!r}")
+def _plan(circuit: Circuit) -> tuple[int, list[tuple[packed.Step, list[Filter]]]]:
+    """The field width and the steps that propagate ``circuit``, each with
+    the count filters to project right after it, from one backward pass.
 
+    Each element is lowered as it is read (see
+    :func:`circuit.dual_rail_element`).  ``final`` maps a wire at the current
+    point to the circuit wire its photons end on: a permutation updates it
+    and is dropped, and every other element becomes a step on the final
+    wires that its own wires map to.  Propagating the steps leaves every
+    photon where the whole circuit would.
 
-def _on_final_wires(circuit: Circuit) -> list:
-    """The circuit's elements lowered by :func:`circuit.dual_rail_element`,
-    in order, with the permutations dropped and every other element moved
-    onto the circuit wires that the permutations after it carry its wires
-    to.  A circuit and its dual-rail twin give the same list.
-
-    Walking backward, ``final`` maps a wire at the current point to the
-    circuit wire its photons end on; a permutation src -> dst updates it and
-    is dropped.  Propagating the list leaves every photon where the whole
-    circuit would."""
+    A group's filter span is the union of the wire components, linked by
+    the steps after the current one, that hold its detector wires.  Each
+    later step acts wholly inside or wholly outside it, so its photon count
+    is conserved to the end unless a later source adds to it.  The span is
+    usable while it meets no output wire, no later source's wire and no
+    other group's detector wire; it only grows, and only when a step meets
+    it, so once unusable it stays so.  Each group is filtered right after
+    the earliest step at which its span is usable.
+    """
+    groups = circuit.detector_groups
+    width = packed.field_width(sum(el.photons for el in circuit.elements
+                                   if isinstance(el, Source)))
+    detectors = circuit.detector_wires()
+    barrier = set(circuit.outputs)
+    spans = {g: set(grp.wires) for g, grp in enumerate(groups)}  # not yet placed
+    placed: dict[int, tuple[int, set[int]]] = {}  # group -> (steps from the end, span)
+    linked: dict[int, set[int]] = {}
     final: dict[int, int] = {}
-    folded = []
-    for el in map(dual_rail_element, reversed(circuit.elements)):
-        perm = _permutation(el)
-        if perm is None:
-            folded.append(_moved(el, final))
+    steps: list[packed.Step] = []
+    for el in reversed(circuit.elements):
+        if isinstance(el, (Swap, PBS)):
+            final.update({src: final.get(dst, dst) for src, dst in el.mapping})
+            continue
+        if isinstance(el, Source):
+            wires, n, k = (final.get(el.wire, el.wire),), 0, el.photons
+        elif isinstance(el, (Multiport, HWP, UHWP)):
+            ports = el.ports
+            wires = tuple([final.get(w, w) for grp in ports for w in grp])
+            n, k = len(ports), len(ports[0])
         else:
-            final.update({src: final.get(dst, dst) for src, dst in perm.items()})
-    folded.reverse()
-    return folded
+            raise SimulationError(f"unknown element {el!r}")
+        steps.append(packed.step(wires, n, k, width))
+        if not spans:
+            continue
+        for g, span in spans.items():
+            placed[g] = (len(steps), span)
+        if not n:
+            barrier.add(wires[0])
+        joined = set(wires).union(*[linked.get(w, ()) for w in wires])
+        for w in joined:
+            linked[w] = joined
+        for g, span in list(spans.items()):
+            if span.isdisjoint(wires):
+                continue
+            if barrier.isdisjoint(joined) and joined & detectors <= set(groups[g].wires):
+                spans[g] = span | joined
+            else:
+                del spans[g]
+    steps.reverse()
+    filters: list[list[Filter]] = [[] for _ in steps]
+    for g, (i, span) in placed.items():
+        span = tuple(sorted(span))
+        filters[len(steps) - i].append((groups[g], span, packed.field_mask(span, width)))
+    return width, list(zip(steps, filters))
 
 
-def _joined(owner: dict[int, tuple[Packed, frozenset[int]]],
-            wires: Iterable[int]) -> tuple[Packed, frozenset[int]]:
-    """The tensor product of the factors in ``owner`` that hold any of
-    ``wires``, and the wires it holds: theirs and ``wires``, the ones no
-    factor owns in vacuum."""
-    wires = frozenset(wires)
-    terms = None
-    for part, part_wires in {id(f): f for f in map(owner.get, wires) if f is not None}.values():
+def _joined(owner: dict[int, list], wires: Sequence[int]) -> list:
+    """The factor, a ``[terms, wires]`` pair in ``owner``, that holds all of
+    ``wires``: the one that already does, or else the tensor product of the
+    factors that hold any of them, which also takes the ones no factor
+    holds, in vacuum."""
+    parts = {id(f): f for f in map(owner.get, wires)}
+    if len(parts) == 1:
+        factor, = parts.values()
+        if factor is not None:
+            return factor
+    parts.pop(id(None), None)
+    terms, held = None, set(wires)
+    for part, part_wires in parts.values():
         terms = part if terms is None else packed.tensor(terms, part)
-        wires |= part_wires
-    return ({0: 1 + 0j} if terms is None else terms), wires
+        held |= part_wires
+    factor = [{0: 1 + 0j} if terms is None else terms, held]
+    owner.update(dict.fromkeys(held, factor))
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -166,49 +212,6 @@ class HeraldOutcome:
     identity: bool = False
 
 
-def _herald_schedule(circuit: Circuit,
-                     elements: Sequence) -> dict[int, list[tuple[DetectorGroup, set[int]]]]:
-    """Index into ``elements``, the circuit on its final wires (see
-    :func:`_on_final_wires`) -> the (detector group, wire set) count filters
-    to project right after that element.
-
-    Walking the elements backward, a group's filter set is the union of the
-    wire components, linked by the elements after the current one, that hold
-    its detector wires.  Each later element acts wholly inside or wholly
-    outside that set, so its photon count is conserved to the end unless a
-    later source adds to it.  The set is usable while it meets no output
-    wire, no later source's wire and no other group's detector wire; it
-    only grows, so once unusable it stays so.  Each group is filtered at its
-    earliest usable index.
-    """
-    barrier = set(circuit.outputs)
-    detectors = circuit.detector_wires()
-    linked: dict[int, set[int]] = {}
-    pending = list(circuit.detector_groups)
-    earliest: dict[DetectorGroup, tuple[int, set[int]]] = {}
-    for i in range(len(elements) - 1, -1, -1):
-        usable = []
-        for grp in pending:
-            span = set(grp.wires).union(*(linked.get(w, ()) for w in grp.wires))
-            if not span & barrier and span & detectors <= set(grp.wires):
-                earliest[grp] = (i, span)
-                usable.append(grp)
-        pending = usable
-        if not pending:
-            break
-        el = elements[i]
-        if isinstance(el, Source):
-            barrier.add(el.wire)
-        wires = el.wires_used()
-        joined = set(wires).union(*(linked.get(w, ()) for w in wires))
-        for w in joined:
-            linked[w] = joined
-    schedule: dict[int, list[tuple[DetectorGroup, set[int]]]] = {}
-    for grp, (i, span) in earliest.items():
-        schedule.setdefault(i, []).append((grp, span))
-    return schedule
-
-
 def run_heralded(circuit: Circuit) -> list[HeraldOutcome]:
     """Enumerate every detector signature meeting all group requirements.
     A circuit that :func:`circuit.validate` faults raises
@@ -218,33 +221,30 @@ def run_heralded(circuit: Circuit) -> list[HeraldOutcome]:
     Signatures violating any group's required count are dropped; a detector
     budget exceeding the photon supply therefore yields an empty list.
 
-    Each group's required-count filter is projected during propagation, at
-    the point :func:`_herald_schedule` proves it commutes with the rest of
-    the circuit; this only prunes terms that the final filter would reject.
-    The state is held as a product of factors of packed terms (see the
-    module docstring) until the last element, after which all factors are
-    merged.
+    The circuit is propagated as the steps :func:`_plan` lowers it to, each
+    through :func:`packed.apply`.  Each group's required-count filter is
+    projected with :func:`packed.project` where the plan proves it commutes
+    with the rest of the circuit; this only prunes terms that the final
+    filter would reject.  The state is held as a product of factors of
+    packed terms (see the module docstring) until the last step, after
+    which all factors are merged.
     """
     diags = validate(circuit)
     if diags:
         raise SimulationError("invalid circuit: " + "; ".join(diags), diags)
-    elements = _on_final_wires(circuit)
-    schedule = _herald_schedule(circuit, elements)
-    width = packed.field_width(sum(el.photons for el in elements if isinstance(el, Source)))
-    # owner[w] is the factor, a (terms, wires) pair, that holds wire w;
+    width, plan = _plan(circuit)
+    # owner[w] is the factor, a [terms, wires] pair, that holds wire w;
     # factors hold disjoint wires, and a wire no factor holds is in vacuum.
-    owner: dict[int, tuple[Packed, frozenset[int]]] = {}
-    for i, el in enumerate(elements):
-        terms, wires = _joined(owner, el.wires_used())
-        owner.update(dict.fromkeys(wires, (packed.apply(terms, el, width), wires)))
-        for grp, span in schedule.get(i, ()):
-            terms, wires = _joined(owner, span)
-            terms = packed.project(terms, span, grp.required, width)
-            if not terms:
+    owner: dict[int, list] = {}
+    for step, filters in plan:
+        factor = _joined(owner, step.wires)
+        factor[0] = packed.apply(factor[0], step, width)
+        for grp, span, mask in filters:
+            factor = _joined(owner, span)
+            factor[0] = packed.project(factor[0], mask, grp.required, width)
+            if not factor[0]:
                 return []
-            owner.update(dict.fromkeys(wires, (terms, wires)))
-    terms, _ = _joined(owner, list(owner))
-    return _heralded_outcomes(terms, circuit, width)
+    return _heralded_outcomes(_joined(owner, list(owner))[0], circuit, width)
 
 
 def _heralded_outcomes(terms: Packed, circuit: Circuit, width: int) -> list[HeraldOutcome]:

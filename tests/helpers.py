@@ -2,7 +2,9 @@
 the full-propagation reference for heralded outcomes, the naive references
 for ``fock.ladder``, ``fock.substitute``, ``sculpting.hadamard_all`` and the
 feed-forward solver, the wire relabeling the references propagate
-permutations with, and small builders and readers of states and circuits.
+permutations with, the element-by-element references for the propagation
+plan's folding and filter placement, the scan-based references for a
+graph's views, and small builders and readers of states and circuits.
 
 A polynomial maps creation monomials (sorted wire tuples, with repetition)
 to complex coefficients.  ``poly_state`` realizes a polynomial as the Fock
@@ -18,8 +20,9 @@ from typing import Iterator
 
 import numpy as np
 
-from sculpt import fock, sim
-from sculpt.circuit import dual_rail_element
+from sculpt import fock, packed, sim
+from sculpt.bigraph import Circle, CircleKind
+from sculpt.circuit import Multiport, Source, dual_rail_element
 from sculpt.fock import FockState
 
 Poly = dict[tuple[int, ...], complex]
@@ -440,3 +443,122 @@ def naive_solve_correction(residual, target, atol: float = 1e-9):
             if fid >= 1.0 - atol:
                 return naive_labels(a_mask, x, n), float(fid)
     return None
+
+
+# ---------------------------------------------------------------------------
+# References for sim._plan
+# ---------------------------------------------------------------------------
+
+def _moved(el, to: dict[int, int]):
+    """A lowered source or multiport moved onto the wires ``to`` maps its
+    wires to (a wire not in ``to`` stays)."""
+    if isinstance(el, Source):
+        return Source(to.get(el.wire, el.wire), el.photons, el.stage)
+    if isinstance(el, Multiport):
+        return Multiport(tuple(tuple(to.get(w, w) for w in grp) for grp in el.ports),
+                         el.stage)
+    raise sim.SimulationError(f"unknown element {el!r}")
+
+
+def on_final_wires(circuit) -> list:
+    """The circuit's elements lowered by :func:`circuit.dual_rail_element`,
+    in order, with the permutations dropped and every other element moved
+    onto the circuit wires that the permutations after it carry its wires
+    to.
+
+    Walking backward, ``final`` maps a wire at the current point to the
+    circuit wire its photons end on; a permutation src -> dst updates it and
+    is dropped."""
+    final: dict[int, int] = {}
+    folded = []
+    for el in map(dual_rail_element, reversed(circuit.elements)):
+        perm = sim._permutation(el)
+        if perm is None:
+            folded.append(_moved(el, final))
+        else:
+            final.update({src: final.get(dst, dst) for src, dst in perm.items()})
+    folded.reverse()
+    return folded
+
+
+def herald_schedule(circuit, elements) -> dict[int, list]:
+    """Index into ``elements``, the circuit on its final wires (see
+    :func:`on_final_wires`) -> the (detector group, wire set) count filters
+    to project right after that element.
+
+    Walking the elements backward, a group's filter set is the union of the
+    wire components, linked by the elements after the current one, that hold
+    its detector wires.  The set is usable while it meets no output wire, no
+    later source's wire and no other group's detector wire.  Each group is
+    filtered at its earliest usable index; every set is built afresh at
+    every index."""
+    barrier = set(circuit.outputs)
+    detectors = circuit.detector_wires()
+    linked: dict[int, set[int]] = {}
+    pending = list(circuit.detector_groups)
+    earliest: dict = {}
+    for i in range(len(elements) - 1, -1, -1):
+        usable = []
+        for grp in pending:
+            span = set(grp.wires).union(*(linked.get(w, ()) for w in grp.wires))
+            if not span & barrier and span & detectors <= set(grp.wires):
+                earliest[grp] = (i, span)
+                usable.append(grp)
+        pending = usable
+        if not pending:
+            break
+        el = elements[i]
+        if isinstance(el, Source):
+            barrier.add(el.wire)
+        wires = el.wires_used()
+        joined = set(wires).union(*(linked.get(w, ()) for w in wires))
+        for w in joined:
+            linked[w] = joined
+    schedule: dict[int, list] = {}
+    for grp, (i, span) in earliest.items():
+        schedule.setdefault(i, []).append((grp, span))
+    return schedule
+
+
+def lowered(x) -> tuple:
+    """What a folded element or a ``packed.Step`` does, without its stage:
+    ("source", wire, photons) or ("mix", ports)."""
+    if isinstance(x, packed.Step):
+        if not x.n:
+            return ("source", x.wires[0], x.k)
+        return ("mix", tuple(x.wires[j * x.k:(j + 1) * x.k] for j in range(x.n)))
+    if isinstance(x, Source):
+        return ("source", x.wire, x.photons)
+    return ("mix", x.ports)
+
+
+def plan_schedule(plan) -> dict[int, list]:
+    """A plan's filters in the form of :func:`herald_schedule`."""
+    return {i: [(grp, set(span)) for grp, span, _ in filters]
+            for i, (_, filters) in enumerate(plan) if filters}
+
+
+# ---------------------------------------------------------------------------
+# Scan-based references for a graph's views
+# ---------------------------------------------------------------------------
+
+def scan_main_labels(g) -> list[str]:
+    return [str(j) for j in range(1, g.n_main + 1)]
+
+
+def scan_circles(g) -> list:
+    mains = [Circle(l, CircleKind.MAIN) for l in scan_main_labels(g)]
+    ancs = [Circle(l, CircleKind.ANCILLA) for l in g.ancillas]
+    return mains + ancs
+
+
+def scan_dot_ids(g) -> list[int]:
+    return sorted({e.dot for e in g.edges})
+
+
+def scan_edges_of_circle(g, label: str) -> list:
+    return [e for e in g.edges if e.mode == label]
+
+
+def scan_edges_of_dot(g, dot: int) -> list:
+    return [e for e in g.edges if e.dot == dot]

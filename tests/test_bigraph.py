@@ -1,5 +1,6 @@
 """Graph model: classification, matchings, presets, serialization."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -7,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (scan_circles, scan_dot_ids, scan_edges_of_circle, scan_edges_of_dot,
+                     scan_main_labels)
 from sculpt import bigraph
 from sculpt.analysis import verify_scheme
 from sculpt.bigraph import (Edge, EpmPattern, GraphSchemaError, InternalState,
@@ -301,3 +304,48 @@ def test_dot_export_mentions_all_vertices():
     for label in ("1", "2", "3", "X", "Y", "Z"):
         assert f'"c{label}"' in dot
     assert dot.count("->") == len(g.edges)
+
+
+def _view_graphs():
+    """The presets, then 200 random EPM draws of 2-4 main circles and 0-3
+    ancillas, half with realizable amplitudes."""
+    yield from (ghz(2), ghz(5), w(2), w(4), type5(), SculptingBigraph(0, (), ()))
+    rng = np.random.default_rng(20261026)
+    for i in range(200):
+        yield bigraph.random_epm(rng, int(rng.integers(2, 5)), int(rng.integers(0, 4)),
+                                 realizable=bool(i % 2))
+
+
+def test_views_equal_their_scan_definitions():
+    for g in _view_graphs():
+        labels = scan_main_labels(g) + list(g.ancillas)
+        assert g.main_labels() == scan_main_labels(g)
+        assert g.circles() == scan_circles(g)
+        assert [g.circle(l) for l in labels] == scan_circles(g)
+        assert g.dot_ids() == scan_dot_ids(g)
+        for label in labels + ["nope"]:
+            assert g.edges_of_circle(label) == scan_edges_of_circle(g, label)
+        for dot in scan_dot_ids(g) + [-1]:
+            assert g.edges_of_dot(dot) == scan_edges_of_dot(g, dot)
+
+
+def test_mutating_a_view_leaves_the_graph_alone():
+    g = type5()
+    for view in (g.main_labels(), g.circles(), g.dot_ids(), g.edges_of_circle("X"),
+                 g.edges_of_dot(5)):
+        view.clear()
+    assert g.main_labels() == scan_main_labels(g)
+    assert g.circles() == scan_circles(g)
+    assert g.dot_ids() == scan_dot_ids(g)
+    assert g.edges_of_circle("X") == scan_edges_of_circle(g, "X") != []
+    assert g.edges_of_dot(5) == scan_edges_of_dot(g, 5) != []
+
+
+@pytest.mark.parametrize("field,value", [("n_main", 4), ("ancillas", ("Q",)),
+                                         ("edges", ()), ("name", "other")])
+def test_graph_fields_cannot_be_assigned(field, value):
+    g = w(3)
+    g.main_labels()  # a view derived before the attempt stays true
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(g, field, value)
+    assert g == w(3) and g.main_labels() == scan_main_labels(g)

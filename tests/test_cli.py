@@ -333,6 +333,42 @@ def test_only_pattern_not_an_object_exits_2(tmp_path, capsys):
     assert_one_error(code, out, err, "--only-pattern", "object")
 
 
+@pytest.mark.parametrize("wanted", ['{"8": 1, "10": 1}', '{"10": 1, "8": 1, "13": 0}',
+                                    '{"8": 1, "10": 1, "15": 0, "13": 0}'])
+def test_only_pattern_selects_one_outcome_without_its_zero_counts(tmp_path, capsys, wanted):
+    # GHZ 2 detects on wires 8, 10, 13 and 15; a zero count names no photon
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "simulate", "--circuit", str(c), "--only-pattern", wanted)
+    assert code == 0
+    assert [r["pattern"] for r in json.loads(out)["outcomes"]] == [{"8": 1, "10": 1}]
+
+
+@pytest.mark.parametrize("wanted,fragment", [
+    ('{"8": true, "10": true}', "count True of wire 8"),
+    ('{"8": 1.0, "10": 1}', "count 1.0 of wire 8"),
+    ('{"8": -1}', "count -1 of wire 8"),
+    ('{"8": "1"}', "count '1' of wire 8"),
+    ('{"08": 1, "10": 1}', "'08' is not the id of a detector wire"),
+    ('{"8": 1, "10": 1, "3": 0}', "'3' is not the id of a detector wire"),
+    ('{"a": 1}', "'a' is not the id of a detector wire"),
+    ('{" 8": 1}', "' 8' is not the id of a detector wire"),
+    ('{"-8": 1}', "'-8' is not the id of a detector wire"),
+], ids=["bools", "float", "negative", "string-count", "leading-zero", "not-a-detector",
+        "letter", "space", "minus"])
+def test_only_pattern_malformed_exits_2(tmp_path, capsys, wanted, fragment):
+    # each of these once exited 0 with an empty report, or, for the bools
+    # and the float, selected the outcome {"8": 1, "10": 1}
+    _, c = _ghz2_circuit(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(c), "--only-pattern", wanted)
+    assert_one_error(code, out, err, "--only-pattern", fragment)
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_report_max_n_below_2_exits_2(capsys, max_n):
+    code, out, err = run_cli(capsys, "report", "--max-n", max_n)
+    assert_one_error(code, out, err, f"--max-n {max_n}", "below 2")
+
+
 def test_verify_qubit_count_mismatch_exits_2(tmp_path, capsys):
     g, _ = _ghz2_circuit(tmp_path, capsys)
     code, out, err = run_cli(capsys, "verify", "--graph", str(g),

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from helpers import add_scaled, apply, count_elements, from_counts, strip_wires
-from sculpt import fock
+from sculpt import compiler, fock
 from sculpt.bigraph import Edge, InternalState, SculptingBigraph, ghz, type5, w
 from sculpt.circuit import (DUAL_RAIL, CircuitSchemaError, DetectorGroup, Multiport,
                             Source, parse_circuit, serialize_circuit, circuit_to_dot,
@@ -93,7 +93,7 @@ def test_photon_budget_structure():
         assert len(c.outputs) == 2 * n  # one H and one V rail per output mode
 
 
-def test_compile_rejects_mixed_return_styles():
+def _mixed_return_styles():
     # mode 1 feeds an optimized subtractor with its |+> edge and a general
     # (ancilla-sharing) subtractor with its |-> edge; both returns would
     # land on the same location, which has no known realization
@@ -103,10 +103,49 @@ def test_compile_rejects_mixed_return_styles():
              Edge("X", 2, R2, InternalState.zero()),
              Edge("1", 3, -R2, InternalState.minus()),
              Edge("X", 3, R2, InternalState.zero()))
-    g = SculptingBigraph(2, ("X",), edges)
+    return SculptingBigraph(2, ("X",), edges)
+
+
+def test_compile_rejects_mixed_return_styles():
     with pytest.raises(CompileError) as err:
-        compile_graph(g)
+        compile_graph(_mixed_return_styles())
     assert any("collides" in d for d in err.value.diagnostics)
+
+
+def _mixed_color_with_ancilla():
+    # dot 1 takes a |+> and a |-> main leg together with an ancilla leg
+    r3 = 1.0 / math.sqrt(3.0)
+    edges = (Edge("1", 1, r3, InternalState.plus()),
+             Edge("2", 1, -r3, InternalState.minus()),
+             Edge("X", 1, r3, InternalState.zero()),
+             Edge("2", 2, R2, InternalState.plus()),
+             Edge("1", 2, -R2, InternalState.minus()))
+    return SculptingBigraph(2, ("X",), edges)
+
+
+def test_rejections_come_before_any_element_is_built(monkeypatch):
+    # each single-fault graph keeps its exact message, and no element is
+    # built on the way to it
+    def no_element(*args, **kwargs):
+        raise AssertionError("an element was built")
+
+    for name in ("Source", "HWP", "UHWP", "PBS", "Multiport", "Swap"):
+        monkeypatch.setattr(compiler, name, no_element)
+    unequal = SculptingBigraph(2, (), (
+        Edge("1", 1, 0.6, InternalState.plus()), Edge("2", 1, -0.8, InternalState.minus()),
+        Edge("2", 2, 0.8, InternalState.plus()), Edge("1", 2, -0.6, InternalState.minus())))
+    cases = [
+        (_mixed_return_styles(), ["mode '1': optimized subtractor return collides with a general "
+                     "subtractor return; no known realization"]),
+        (unequal, ["dot 1: legs must have equal magnitude 1/sqrt(2)"]),
+        (_mixed_color_with_ancilla(),
+         ["dot 1: no known subtractor realization for mixed-color main legs "
+          "combined with ancilla legs"]),
+    ]
+    for g, diagnostics in cases:
+        with pytest.raises(CompileError) as err:
+            compile_graph(g)
+        assert err.value.diagnostics == diagnostics
 
 
 def test_roundtrip_serialization():

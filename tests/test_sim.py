@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (add_scaled, amplitude, assert_same_outcomes, from_counts,
-                     naive_solve_correction, reference_outcomes, signature_distribution,
+                     herald_schedule, lowered, naive_solve_correction, on_final_wires,
+                     plan_schedule, reference_outcomes, signature_distribution,
                      total_photons)
 from sculpt import bigraph, fock, packed, sim
 from sculpt.bigraph import ghz, w
@@ -178,10 +179,45 @@ def test_eager_heralding_matches_full_propagation_on_random_graphs(seed, n_main,
 
 @pytest.mark.parametrize("kind,n", PRESETS)
 def test_dual_rail_twin_folds_to_the_same_elements(kind, n):
-    # both encodings lower each element through circuit.dual_rail_element,
-    # so the twins propagate, filter and read out identically
+    # both encodings lower each element through the same ports and
+    # mappings, so the twins propagate, filter and read out identically
     c = _preset_circuit(kind, n, False)
-    assert sim._on_final_wires(to_dual_rail(c)) == sim._on_final_wires(c)
+    twin = to_dual_rail(c)
+    assert sim._plan(twin) == sim._plan(c)
+    assert on_final_wires(twin) == on_final_wires(c)
+
+
+def _assert_plan_is_the_reference(c):
+    """The plan's steps are the reference folding's elements, in order and
+    on the same final wires, with field offsets and masks at the circuit's
+    width, and its filters are the reference schedule's."""
+    width, plan = sim._plan(c)
+    folded = on_final_wires(c)
+    assert width == packed.field_width(sum(el.photons for el in c.elements
+                                           if isinstance(el, Source)))
+    assert [lowered(step) for step, _ in plan] == [lowered(el) for el in folded]
+    for step, filters in plan:
+        assert step.offs == tuple(w * width for w in step.wires)
+        assert step.mask == packed.field_mask(step.wires, width)
+        for _, span, mask in filters:
+            assert mask == packed.field_mask(span, width)
+    assert plan_schedule(plan) == herald_schedule(c, folded)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_main=st.sampled_from([2, 3]),
+       n_anc=st.sampled_from([0, 1]), dual_rail=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_plan_matches_the_reference_on_random_graphs(seed, n_main, n_anc, dual_rail):
+    g = bigraph.random_epm(np.random.default_rng(seed), n_main, n_anc,
+                           realizable=True)
+    try:
+        c = compile_graph(g)
+    except CompileError:
+        assume(False)
+    if dual_rail:
+        c = to_dual_rail(c)
+    _assert_plan_is_the_reference(c)
+    assert_same_outcomes(sim.run_heralded(c), reference_outcomes(c))
 
 
 @pytest.mark.parametrize("kind,n", PRESETS)
@@ -191,12 +227,15 @@ def test_herald_schedule_filters_after_the_tap_off(kind, n, dual_rail):
     # folded away; each group is projected right after the plate in front
     # of its block's last tap-off: the last subtract-stage element joining
     # the group's mixer span to an output wire, so before any which-path
-    # mixer.
+    # mixer.  A step keeps no stage, so stages are read from the reference
+    # folding, whose elements the steps are.
     c = _preset_circuit(kind, n, dual_rail)
-    elements = sim._on_final_wires(c)
+    _, plan = sim._plan(c)
+    elements = on_final_wires(c)
+    assert [lowered(step) for step, _ in plan] == [lowered(el) for el in elements]
     first_mix = next(i for i, el in enumerate(elements) if el.stage == "mix")
-    placed = {grp.gid: i for i, filters in sim._herald_schedule(c, elements).items()
-              for grp, _ in filters}
+    placed = {grp.gid: i for i, (_, filters) in enumerate(plan)
+              for grp, _, _ in filters}
     assert sorted(placed) == sorted(grp.gid for grp in c.detector_groups)
     for grp in c.detector_groups:
         span = set(grp.wires)
@@ -293,6 +332,7 @@ def small_circuits(draw):
 @given(small_circuits())
 @settings(max_examples=200, deadline=None)
 def test_factored_propagation_matches_full_propagation(c):
+    _assert_plan_is_the_reference(c)
     assert_same_outcomes(sim.run_heralded(c), reference_outcomes(c))
 
 
@@ -309,10 +349,11 @@ def test_swap_trades_photons_between_unjoined_factors():
     c = Circuit(_wires(6), elements,
                 [DetectorGroup(0, (1, 2), 2), DetectorGroup(1, (3,), 1)],
                 outputs=[0, 4, 5], output_modes=[])
-    folded = sim._on_final_wires(c)
-    assert folded == [Source(1, 1), Source(0, 2)] + elements[3:]
-    assert sim._herald_schedule(c, folded) == {2: [(c.detector_groups[0], {1, 2})],
-                                               4: [(c.detector_groups[1], {3})]}
+    _, plan = sim._plan(c)
+    assert ([lowered(step) for step, _ in plan]
+            == [lowered(el) for el in [Source(1, 1), Source(0, 2)] + elements[3:]])
+    assert plan_schedule(plan) == {2: [(c.detector_groups[0], {1, 2})],
+                                   4: [(c.detector_groups[1], {3})]}
     outcomes = sim.run_heralded(c)
     assert [oc.pattern for oc in outcomes] == [((1, 2), (3, 1)), ((2, 2), (3, 1))]
     assert_same_outcomes(outcomes, reference_outcomes(c))
@@ -324,9 +365,10 @@ def test_filter_span_that_no_factor_owns(required, kept):
     # the wave plate folds to its beam splitter
     c = Circuit(_wires(4), [Source(0, 1), HWP("m0", 0, 1)],
                 [DetectorGroup(0, (2,), required)], outputs=[0, 1, 3], output_modes=[])
-    folded = sim._on_final_wires(c)
-    assert folded == [Source(0, 1), Multiport(((0,), (1,)), "prep")]
-    assert sim._herald_schedule(c, folded) == {0: [(c.detector_groups[0], {2})]}
+    _, plan = sim._plan(c)
+    assert ([lowered(step) for step, _ in plan]
+            == [lowered(el) for el in [Source(0, 1), Multiport(((0,), (1,)), "prep")]])
+    assert plan_schedule(plan) == {0: [(c.detector_groups[0], {2})]}
     outcomes = sim.run_heralded(c)
     assert bool(outcomes) == kept
     assert_same_outcomes(outcomes, reference_outcomes(c))
@@ -369,8 +411,9 @@ def test_stray_photon_in_a_rejected_signature_is_dropped():
     # the detector and is rejected by the final count check, not raised
     c = Circuit(_wires(4), [Source(0, 1), Multiport(((0,), (1,)))],
                 [DetectorGroup(0, (0,), 1)], outputs=[2, 3], output_modes=[])
-    assert sim._on_final_wires(c) == c.elements
-    assert sim._herald_schedule(c, c.elements) == {0: [(c.detector_groups[0], {0, 1})]}
+    _, plan = sim._plan(c)
+    assert [lowered(step) for step, _ in plan] == [lowered(el) for el in c.elements]
+    assert plan_schedule(plan) == {0: [(c.detector_groups[0], {0, 1})]}
     outcomes = sim.run_heralded(c)
     assert [oc.pattern for oc in outcomes] == [((0, 1),)]
     assert abs(outcomes[0].probability - 0.5) < 1e-12
@@ -396,8 +439,8 @@ def test_peak_terms(monkeypatch, kind, n, peak, dual_rail):
     sizes = []
     apply = packed.apply
 
-    def counted(terms, el, width):
-        out = apply(terms, el, width)
+    def counted(terms, step, width):
+        out = apply(terms, step, width)
         sizes.append(len(out))
         return out
 
