@@ -3,8 +3,7 @@ optics and verified by exact Fock-space simulation."""
 
 from .bigraph import (Edge, EpmPattern, InternalState, SculptingBigraph,
                       classify_circle, ghz, is_epm, parse_graph,
-                      perfect_matchings, preset, serialize_graph,
-                      subtraction_operators, type5, w)
+                      perfect_matchings, preset, serialize_graph, type5, w)
 from .circuit import Circuit, parse_circuit, serialize_circuit, validate
 from .compiler import CompileError, compile_graph, to_dual_rail
 from .analysis import (fidelity, genuine_entanglement, target_state,

@@ -4,7 +4,8 @@ A sculpting bigraph has labelled circles (spatial modes, main or ancillary),
 unlabelled dots (one single-boson subtraction operator each) and directed
 weighted edges circle -> dot.  Each edge carries a complex probability
 amplitude and a normalized two-level internal state; per dot the squared
-amplitudes sum to one.
+amplitudes sum to one.  That invariant is checked once, when a
+:class:`SculptingBigraph` is built, so every graph that exists holds it.
 
 The "effective perfect matching" (EPM) class is the subset whose heralded
 output is fully determined by the graph's perfect matchings; the three
@@ -121,6 +122,11 @@ class EpmPattern(Enum):
 class SculptingBigraph:
     """Circles + dots + directed edges; the compiler/oracle input IR.
 
+    Construction checks that circle labels are unique, that every edge
+    names a known circle and that each dot's squared leg amplitudes sum to
+    one within ``ATOL`` (nan fails), and raises ``ValueError`` otherwise;
+    this is the only place the per-dot normalization is checked.
+
     Each view of the graph (its main labels, circles, dots, and edges by dot
     and by circle) is derived on first use and kept; the graph is frozen, so
     a view cannot go stale.  The methods return fresh lists."""
@@ -135,9 +141,15 @@ class SculptingBigraph:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate circle labels")
         known = set(labels)
+        totals: dict[int, float] = {}
         for e in self.edges:
             if e.mode not in known:
                 raise ValueError(f"edge references unknown circle {e.mode!r}")
+            totals[e.dot] = totals.get(e.dot, 0.0) + abs(e.amplitude) ** 2
+        for dot, total in totals.items():
+            if not abs(total - 1.0) <= ATOL:  # also rejects nan
+                raise ValueError(f"dot {dot}: per-dot normalization violated "
+                                 f"(sum |amp|^2 = {total:.12g})")
 
     @functools.cached_property
     def _main_labels(self) -> tuple[str, ...]:
@@ -228,22 +240,6 @@ def is_epm(g: SculptingBigraph) -> bool:
 
     The empty graph is vacuously EPM."""
     return not non_epm_circles(g)
-
-
-def subtraction_operators(g: SculptingBigraph) -> list[list[tuple[str, InternalState, complex]]]:
-    """Per-dot single-boson operator descriptors, ordered by dot id.
-
-    Each descriptor is a list of (spatial label, internal state, coefficient)
-    triples; the coefficients of one dot must satisfy sum |c|^2 = 1.
-    """
-    ops = []
-    for dot in g.dot_ids():
-        legs = [(e.mode, e.state, e.amplitude) for e in g.edges_of_dot(dot)]
-        total = sum(abs(c) ** 2 for _, _, c in legs)
-        if not abs(total - 1.0) <= ATOL:  # also rejects nan
-            raise ValueError(f"dot {dot} violates normalization: sum |amp|^2 = {total}")
-        ops.append(legs)
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +486,6 @@ def parse_graph(text: str) -> SculptingBigraph:
         legs = dot.get("legs")
         if not isinstance(legs, list) or not legs:
             raise GraphSchemaError(f"{where}.legs: expected a non-empty list")
-        total = 0.0
         for k, leg in enumerate(legs):
             lwhere = f"{where}.legs[{k}]"
             if not isinstance(leg, dict) or not isinstance(leg.get("mode"), str):
@@ -509,15 +504,13 @@ def parse_graph(text: str) -> SculptingBigraph:
                 if not _is_real(ph):
                     raise GraphSchemaError(f"{lwhere}.phase: expected radians")
                 amp *= cmath.exp(1j * ph)
-            total += abs(amp) ** 2
             edges.append(Edge(leg["mode"], dot["id"], amp, state))
-        if not abs(total - 1.0) <= ATOL:  # also rejects nan
-            raise GraphSchemaError(
-                f"{where}: per-dot normalization violated (sum |amp|^2 = {total:.12g})")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise GraphSchemaError("name: expected a string")
     try:
-        return SculptingBigraph(n_main, tuple(ancillas), tuple(edges),
-                                name=doc.get("name", ""))
-    except ValueError as exc:  # unknown or duplicate circle labels
+        return SculptingBigraph(n_main, tuple(ancillas), tuple(edges), name=name)
+    except ValueError as exc:  # bad circle labels or an unnormalized dot
         raise GraphSchemaError(str(exc)) from None
 
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bigraph import (CircleKind, Edge, SculptingBigraph, non_epm_circles,
-                      subtraction_operators)
+from .bigraph import CircleKind, Edge, SculptingBigraph, non_epm_circles
 from .circuit import (DUAL_RAIL, POLARIZATION, Circuit, DetectorGroup, HWP,
                       Multiport, PBS, Source, Swap, UHWP, Wire, dual_rail_element)
 from .fock import ATOL
@@ -88,14 +87,9 @@ def _plan_dot(g: SculptingBigraph, dot: int) -> tuple[str, list[Edge], list[Edge
     ancs = [e for e in legs if g.circle(e.mode).kind is CircleKind.ANCILLA]
     d = len(legs)
     mag = 1.0 / math.sqrt(d)
-    problems = []
     if any(abs(abs(e.amplitude) - mag) > ATOL for e in legs):
-        problems.append(f"dot {dot}: legs must have equal magnitude 1/sqrt({d})")
-    colors = {e.state.name for e in mains}
-    if not colors <= {"+", "-"}:
-        problems.append(f"dot {dot}: main legs must carry |+> or |->")
-    if problems:
-        raise CompileError(problems)
+        raise CompileError([f"dot {dot}: legs must have equal magnitude 1/sqrt({d})"])
+    colors = {e.state.name for e in mains}  # EPM pattern A: "+" or "-" only
 
     if len(mains) == 2 and not ancs and colors == {"+", "-"}:
         kind = "optimized"
@@ -128,7 +122,6 @@ def compile_graph(g: SculptingBigraph) -> Circuit:
     bad = non_epm_circles(g)
     if bad:
         raise CompileError([f"circle {b!r} does not match an EPM pattern" for b in bad])
-    subtraction_operators(g)  # per-dot normalization check
 
     # Both rejections are decided before any element is built: the dot plans,
     # and the return collision, which the plans' block kinds decide: a main

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fock
-from .bigraph import CircleKind, SculptingBigraph, is_epm, perfect_matchings, subtraction_operators
+from .bigraph import CircleKind, SculptingBigraph, is_epm, perfect_matchings
 from .fock import FockState, WireId
 
 # (circle label, internal level) -> wire id
@@ -60,7 +60,6 @@ def apply_sculpting(g: SculptingBigraph, table: OracleWires | None = None) -> Fo
     """
     if table is None:
         table = oracle_wires(g)
-    subtraction_operators(g)  # normalization check
     state = initial_state(g, table)
     for dot in g.dot_ids():
         state = fock.ladder(state, _dot_wire_legs(g, table, dot))

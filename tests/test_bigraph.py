@@ -11,12 +11,10 @@ import pytest
 from helpers import (scan_circles, scan_dot_ids, scan_edges_of_circle, scan_edges_of_dot,
                      scan_main_labels)
 from sculpt import bigraph
-from sculpt.analysis import verify_scheme
 from sculpt.bigraph import (Edge, EpmPattern, GraphSchemaError, InternalState,
                             SculptingBigraph, classify_circle, ghz,
                             graph_to_dot, is_epm, parse_graph,
-                            perfect_matchings, preset, serialize_graph,
-                            subtraction_operators, type5, w)
+                            perfect_matchings, preset, serialize_graph, type5, w)
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -65,10 +63,9 @@ def test_ghz_preset_structure():
     assert is_epm(g)
     for c in g.circles():
         assert classify_circle(g, c.label) is EpmPattern.A
-    ops = subtraction_operators(g)
     # dot j: (a_{j,+} - a_{j+1,-})/r2
-    for j, legs in enumerate(ops, start=1):
-        by_state = {s.name: (m, c) for m, s, c in legs}
+    for j in g.dot_ids():
+        by_state = {e.state.name: (e.mode, e.amplitude) for e in g.edges_of_dot(j)}
         assert by_state["+"][0] == str(j)
         assert by_state["-"][0] == str(j % 3 + 1)
         assert abs(by_state["+"][1] - R2) < 1e-12
@@ -80,10 +77,9 @@ def test_w_preset_structure():
     assert len(g.ancillas) == 1 and len(g.dot_ids()) == 4
     assert classify_circle(g, "X") is EpmPattern.B
     assert is_epm(g)
-    ops = subtraction_operators(g)
-    final = ops[3]
-    assert all(s.name == "-" for _, s, _ in final)
-    assert all(abs(c - 1 / math.sqrt(3)) < 1e-12 for _, _, c in final)
+    final = g.edges_of_dot(g.dot_ids()[3])
+    assert all(e.state.name == "-" for e in final)
+    assert all(abs(e.amplitude - 1 / math.sqrt(3)) < 1e-12 for e in final)
 
 
 def test_type5_preset_structure():
@@ -93,9 +89,8 @@ def test_type5_preset_structure():
     assert is_epm(g)
     assert sorted(c.label for c in g.circles()) == ["1", "2", "3", "X", "Y", "Z"]
     # the pi-phase legs carry -1 coefficients
-    ops = subtraction_operators(g)
-    for dot in (3, 4, 5):  # 0-based dots 4,5,6
-        minus_legs = [c for _, s, c in ops[dot] if s.name == "-"]
+    for dot in (4, 5, 6):
+        minus_legs = [e.amplitude for e in g.edges_of_dot(dot) if e.state.name == "-"]
         assert len(minus_legs) == 1 and minus_legs[0].real < 0
 
 
@@ -124,10 +119,11 @@ def test_empty_graph_vacuously_epm():
 
 
 def test_parallel_ancilla_edges_rejected_unless_lenient():
-    edges = (Edge("1", 1, R2, InternalState.plus()),
-             Edge("1", 2, R2, InternalState.minus()),
-             Edge("A", 1, R2, InternalState.zero()),
-             Edge("A", 1, R2, InternalState.zero()))
+    r3 = 1.0 / math.sqrt(3.0)
+    edges = (Edge("1", 1, r3, InternalState.plus()),
+             Edge("1", 2, 1.0, InternalState.minus()),
+             Edge("A", 1, r3, InternalState.zero()),
+             Edge("A", 1, r3, InternalState.zero()))
     g = SculptingBigraph(1, ("A",), edges)
     assert classify_circle(g, "A") is EpmPattern.NON_EPM
     assert not is_epm(g)
@@ -145,15 +141,15 @@ def test_classify_invariant_under_dot_relabeling():
 
 def test_preset_normalization():
     for g in (ghz(4), w(4), type5()):
-        for legs in subtraction_operators(g):
-            assert abs(sum(abs(c) ** 2 for _, _, c in legs) - 1.0) < 1e-9
+        for dot in g.dot_ids():
+            legs = g.edges_of_dot(dot)
+            assert abs(sum(abs(e.amplitude) ** 2 for e in legs) - 1.0) < 1e-9
 
 
 def test_subtraction_operators_normalization_error():
-    g = SculptingBigraph(1, (), (Edge("1", 1, 0.7, InternalState.plus()),
-                                 Edge("1", 1, 0.4, InternalState.minus())))
-    with pytest.raises(ValueError):
-        subtraction_operators(g)
+    with pytest.raises(ValueError, match="normalization"):
+        SculptingBigraph(1, (), (Edge("1", 1, 0.7, InternalState.plus()),
+                                Edge("1", 1, 0.4, InternalState.minus())))
 
 
 def test_nan_amplitude_is_rejected():
@@ -161,12 +157,9 @@ def test_nan_amplitude_is_rejected():
     # way round; verify_scheme used to report P_ff = 0 with no error
     g = ghz(2)
     first = g.edges[0]
-    g = SculptingBigraph(2, (), (Edge(first.mode, first.dot, complex(math.nan, 0),
+    with pytest.raises(ValueError, match="normalization"):
+        SculptingBigraph(2, (), (Edge(first.mode, first.dot, complex(math.nan, 0),
                                       first.state),) + g.edges[1:])
-    with pytest.raises(ValueError, match="normalization"):
-        subtraction_operators(g)
-    with pytest.raises(ValueError, match="normalization"):
-        verify_scheme(g, "ghz", 2)
     with pytest.raises(ValueError, match="not normalized"):
         InternalState(complex(math.nan, 0), 0.0)
 
@@ -204,7 +197,7 @@ def test_isolated_dot_has_no_matching():
     g = SculptingBigraph(2, ("A",), edges)
     assert perfect_matchings(g) == [] or all(
         len(pm) == 3 for pm in perfect_matchings(g))
-    lone = SculptingBigraph(2, (), edges[:4] + (Edge("2", 3, 0.0, InternalState.minus()),))
+    lone = SculptingBigraph(2, (), edges[:4] + (Edge("2", 3, 1.0, InternalState.minus()),))
     # dot 3 exists but circles cannot cover three dots
     assert perfect_matchings(lone) == []
 
@@ -215,8 +208,9 @@ def test_random_epm_graphs_are_epm():
         g = bigraph.random_epm(rng, int(rng.integers(2, 4)), int(rng.integers(0, 3)))
         assert is_epm(g)
         assert len(g.edges) <= 12
-        for legs in subtraction_operators(g):
-            assert abs(sum(abs(c) ** 2 for _, _, c in legs) - 1.0) < 1e-9
+        for dot in g.dot_ids():
+            legs = g.edges_of_dot(dot)
+            assert abs(sum(abs(e.amplitude) ** 2 for e in legs) - 1.0) < 1e-9
 
 
 def test_matchings_random_graphs_brute_force():

@@ -734,10 +734,15 @@ def _legs(doc):
     (lambda doc: _legs(doc)[0].update(state=["+"]), "dots[0].legs[0].state"),
     (lambda doc: _legs(doc)[0].update(state={"+": 1}), "dots[0].legs[0].state"),
     (lambda doc: doc["dots"][1].update(id=doc["dots"][0]["id"]), "dots[1].id"),
-    (lambda doc: _legs(doc)[0].update(amplitude=[math.nan, 0.0]), "dots[0]: per-dot"),
-    (lambda doc: _legs(doc)[0].update(phase=math.inf), "dots[0]: per-dot"),
+    (lambda doc: _legs(doc)[0].update(amplitude=[math.nan, 0.0]), "dot 1: per-dot"),
+    (lambda doc: _legs(doc)[0].update(phase=math.inf), "dot 1: per-dot"),
+    (lambda doc: doc.update(name=5), "name: expected a string"),
+    (lambda doc: doc.update(name=True), "name: expected a string"),
+    (lambda doc: doc.update(name=1.5), "name: expected a string"),
+    (lambda doc: doc.update(name=["x"]), "name: expected a string"),
 ], ids=["undeclared-circle", "n-main-too-small", "n-main-true", "state-list",
-        "state-object", "duplicate-dot-id", "nan-amplitude", "infinite-phase"])
+        "state-object", "duplicate-dot-id", "nan-amplitude", "infinite-phase",
+        "name-int", "name-true", "name-float", "name-list"])
 @pytest.mark.parametrize("command", ["compile", "verify"])
 def test_malformed_graph_exits_2(tmp_path, capsys, command, mutate, fragment):
     g, _ = _ghz2_circuit(tmp_path, capsys)
@@ -815,31 +820,38 @@ def _fields(node, path=()):
 
 @st.composite
 def mutated_inputs(draw):
-    """One of the GHZ 2 / W 2 graphs or the GHZ 2 circuit with one field
-    replaced by an odd value or deleted, and the commands to run on it."""
+    """One of the GHZ 2 / W 2 graphs or the GHZ 2 circuit with one or two
+    fields replaced by an odd value or deleted, and the commands to run on it."""
     doc, commands = _FUZZ_INPUTS[draw(st.sampled_from(sorted(_FUZZ_INPUTS)))]
-    path = draw(st.sampled_from(list(_fields(doc))))
-    value = draw(st.sampled_from([_DELETE, None, True, 1.5, -1, 0, "x", [], {}]))
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = copy.deepcopy(value)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_fields(doc))))
+        value = draw(st.sampled_from([_DELETE, None, True, 1.5, -1, 0, "x", [], {}]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
     return doc, commands
 
 
 @given(mutated_inputs())
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_input_json_never_crashes(tmp_path, capsys, case):
     doc, commands = case
     path = tmp_path / "input.json"
+    circuit = tmp_path / "circuit.json"
     path.write_text(json.dumps(doc))
     for command, *rest in commands:
         flag = "--circuit" if command == "simulate" else "--graph"
-        code, _, err = run_cli(capsys, command, flag, str(path), *rest)
+        out = ["--out", str(circuit)] if command == "compile" else []
+        code, _, err = run_cli(capsys, command, flag, str(path), *rest, *out)
         assert code in (0, 2, 3)
         assert all(line.startswith("error: ") for line in err.splitlines())
+        if command == "compile" and code == 0:
+            # every circuit the compiler writes is one that simulate reads
+            code, _, err = run_cli(capsys, "simulate", "--circuit", str(circuit))
+            assert code in (0, 3), err
